@@ -19,7 +19,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 
 def get_spark(app: str) -> SparkSession:
-    """Local SparkSession with the same confs as the pytest fixture."""
+    """Local SparkSession for the table jobs and the pytest fixture.
+
+    Broadcast joins are disabled so the shuffle/join algorithms under
+    study actually exercise the shuffle path at this data size.
+    """
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))

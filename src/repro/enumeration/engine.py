@@ -1,23 +1,21 @@
 """Incremental enumeration engine: per-snapshot FBA/VBA over all anchors.
 
-This is the streaming form of the enumeration phase, factored out of the
-pipeline so it can be driven by the Structured Streaming detector *and*
-standalone by the Fig 15 enumeration benchmarks (where the paper omits
-clustering). It consumes one snapshot's id-based partitions at a time
-and maintains, per anchor (= Flink subtask):
+This is the only FBA/VBA driver. The Structured Streaming detector
+steps it as snapshots are released; ``run_engine`` steps it over a
+finite set of partitions for the batch runner (one anchor per
+``applyInPandas`` group) and the Fig 15 enumeration benchmarks (where
+the paper omits clustering). It consumes one snapshot's id-based
+partitions at a time and maintains, per anchor (= Flink subtask):
 
 - FBA: the sliding window of partitions; the η-window starting at
   ``t−η+1`` is evaluated when snapshot ``t`` arrives, then forgotten;
 - VBA: the episode state (hashmap H + candidate list C), advanced once
   per snapshot.
 
-Metrics: wall seconds per step and, per first report of a pattern, the
-*detection delay* in snapshots (report time − the time the pattern
-first became valid).
+Metric: per first report of a pattern, the *detection delay* in
+snapshots (report time − the time the pattern first became valid).
 """
 from __future__ import annotations
-
-import time
 
 from repro.core import bitstring as bs
 from repro.enumeration.fba import fba_window
@@ -25,6 +23,7 @@ from repro.enumeration.vba import VBAState, vba_flush, vba_step
 from repro.params import CPParams
 
 PartsAtT = dict[int, frozenset[int]]  # anchor -> P_t(anchor)
+PartsByAnchor = dict[int, dict[int, frozenset[int]]]  # anchor -> t -> P_t
 
 
 class EnumerationEngine:
@@ -37,14 +36,12 @@ class EnumerationEngine:
         self.method = method
         self.patterns: dict[frozenset[int], tuple[int, ...]] = {}
         self.delays: list[int] = []
-        self.step_seconds: list[float] = []
         self._fba_parts: dict[int, dict[int, frozenset[int]]] = {}
         self._vba: dict[int, VBAState] = {}
         self._processed_until = 0
 
     def step(self, t: int, parts_t: PartsAtT) -> None:
         """Consume snapshot t's partitions (call for every consecutive t)."""
-        start = time.perf_counter()
         if self.method == "fba":
             for anchor, members in parts_t.items():
                 if members:
@@ -63,7 +60,6 @@ class EnumerationEngine:
                     state.t_prev = t - 1  # episode begins at first sighting
                 self._report(anchor, vba_step(state, t, members, self.params), t)
         self._processed_until = t
-        self.step_seconds.append(time.perf_counter() - start)
 
     def finish(self) -> None:
         """End of stream: evaluate the remaining truncated windows / flush."""
@@ -108,3 +104,26 @@ class EnumerationEngine:
             bits, width, self.params.k, self.params.l, self.params.g
         )
         return lo + (tau if tau is not None else width - 1)
+
+
+def run_engine(partitions: PartsByAnchor, params: CPParams,
+               method: str = "fba", *,
+               t_end: int | None = None) -> EnumerationEngine:
+    """Enumerate a finite stream of id-based partitions; return the engine.
+
+    Steps one engine through every consecutive t from the first
+    partition's t to ``max(last t, t_end)``, then calls ``finish()``.
+    ``t_end`` extends the stream past the last partition (the end of the
+    snapshot stream), so VBA episodes close there as they would online.
+    """
+    engine = EnumerationEngine(params, method)
+    by_t: dict[int, PartsAtT] = {}
+    for anchor, parts in partitions.items():
+        for t, members in parts.items():
+            by_t.setdefault(t, {})[anchor] = members
+    if by_t:
+        t_hi = max(by_t) if t_end is None else max(max(by_t), t_end)
+        for t in range(min(by_t), t_hi + 1):
+            engine.step(t, by_t.get(t, {}))
+    engine.finish()
+    return engine

@@ -67,23 +67,3 @@ def fba_window(partitions: Partitions, t: int,
         frontier = nxt
     return out
 
-
-def fba_enumerate(partitions: Partitions,
-                  params: CPParams) -> dict[frozenset[int], tuple[int, ...]]:
-    """All valid patterns of one subtask: {members → first witness T}.
-
-    Runs a window at every snapshot where the partition is non-empty;
-    the first window reporting a pattern supplies its witness (the
-    largest maximal sequence of B[O], absolute times).
-    """
-    out: dict[frozenset[int], tuple[int, ...]] = {}
-    for t in sorted(partitions):
-        if not partitions[t]:
-            continue
-        for O, b in fba_window(partitions, t, params).items():
-            if O in out:
-                continue
-            seqs = bs.maximal_sequences(b, params.k, params.l, params.g)
-            best = max(seqs, key=len)
-            out[O] = tuple(t + i for i in best)
-    return out

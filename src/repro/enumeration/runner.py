@@ -2,9 +2,11 @@
 
 ``enumerate_patterns`` groups the id-based partitions by anchor —
 Spark's analogue of keying one subtask per trajectory id — and runs
-BA/FBA/VBA inside ``applyInPandas``. Results come back as JSON-encoded
-object/time lists (Arrow-friendly scalars) and are decoded by
-``collect_patterns``.
+BA/FBA/VBA inside ``applyInPandas``: FBA/VBA step one
+``EnumerationEngine`` per anchor through the subtask's snapshots; BA,
+which has no incremental form, runs ``ba_enumerate`` over them at once.
+Results come back as JSON-encoded object/time lists (Arrow-friendly
+scalars) and are decoded by ``collect_patterns``.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.enumeration.ba import ba_enumerate
-from repro.enumeration.fba import fba_enumerate
-from repro.enumeration.vba import vba_enumerate
+from repro.enumeration.engine import run_engine
 from repro.params import CPParams
 
 PATTERNS_SCHEMA = "anchor long, objs string, times string"
@@ -48,10 +49,10 @@ def enumerate_patterns(partitions: DataFrame, params: CPParams, *,
         parts = _rows_to_partitions(pdf)
         if method == "ba":
             found = ba_enumerate(parts, params, max_partition=ba_max_partition)
-        elif method == "fba":
-            found = fba_enumerate(parts, params)
         else:
-            found = vba_enumerate(parts, params, t_end=t_end)
+            found = run_engine({anchor: parts}, params, method,
+                               t_end=t_end).patterns
+        # BA's keys exclude the anchor, the engine's include it.
         rows = [
             (anchor,
              json.dumps(sorted(O | {anchor})),

@@ -16,8 +16,9 @@ Deviations from the paper's pseudo-code, per DESIGN.md:
   joint patterns);
 - the Lemma 8 prune uses overlap ≥ K *snapshots* (min{et} − max{st} + 1
   ≥ K), fixing the paper's off-by-one;
-- optional candidate GC drops c ∈ C once c.et < min(open episode st) —
-  no future closure can overlap it by ≥ K.
+- candidate GC (always on) drops c ∈ C once c.et < min(open episode
+  st) + K − 1 — no future closure can overlap it by ≥ K, so the drop is
+  lossless and C stays bounded on unbounded streams.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ def _emit(found, params) -> dict[frozenset[int], list[tuple[int, ...]]]:
 
 
 def vba_step(state: VBAState, t: int, members: frozenset[int],
-             params: CPParams, *, gc: bool = False
+             params: CPParams
              ) -> dict[frozenset[int], list[tuple[int, ...]]]:
     """Process snapshot t (must be called for every consecutive t).
 
@@ -153,7 +154,10 @@ def vba_step(state: VBAState, t: int, members: frozenset[int],
         for O, seqs in _emit(found, params).items():
             out.setdefault(O, []).extend(seqs)
         state.c.append(ep)
-    if gc and state.h:
+    if state.h:
+        # Every future closure starts at or after the earliest open st,
+        # so a candidate ending before min_open + K − 1 can never
+        # overlap one by K snapshots (Lemma 8): drop it.
         min_open = min(st for st, _ in state.h.values())
         state.c = [e for e in state.c if e[2] >= min_open + params.k - 1]
     return out
@@ -178,23 +182,3 @@ def vba_flush(state: VBAState, params: CPParams
         state.c.append(ep)
     return out
 
-
-def vba_enumerate(partitions: dict[int, frozenset[int]], params: CPParams,
-                  t_end: int | None = None, *, gc: bool = False
-                  ) -> dict[frozenset[int], tuple[int, ...]]:
-    """Batch driver over one subtask's partitions — API-compatible with
-    ``ba_enumerate``/``fba_enumerate`` (first witness per pattern)."""
-    out: dict[frozenset[int], tuple[int, ...]] = {}
-    if not partitions:
-        return out
-    t_lo = min(partitions)
-    t_hi = t_end if t_end is not None else max(partitions)
-    state = VBAState()
-    for t in range(t_lo, t_hi + 1):
-        for O, seqs in vba_step(
-            state, t, partitions.get(t, frozenset()), params, gc=gc
-        ).items():
-            out.setdefault(O, tuple(sorted(seqs, key=len)[-1]))
-    for O, seqs in vba_flush(state, params).items():
-        out.setdefault(O, tuple(sorted(seqs, key=len)[-1]))
-    return out

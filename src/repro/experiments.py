@@ -12,10 +12,10 @@ One entry point per measured quantity; ``jobs/table_*.py`` and
   latency that separates FBA from VBA;
 - **avg_cluster_size** — as plotted by Figs 12/13.
 
-``fast_clusters`` is a vectorized (numpy) DBSCAN over exact L1 pairs
-with *identical semantics* to the Spark path (it shares
-``cluster_snapshot``); it supplies the enumeration-only experiments
-(Fig 15, where the paper omits clustering) and the cluster-size stat.
+The enumeration-only experiments (Fig 15, where the paper omits
+clustering) and the cluster-size stat cluster in-process with
+``reference.brute_clusters``, whose DBSCAN shares ``cluster_snapshot``
+with the Spark path and so has identical semantics.
 """
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ from pyspark.sql import SparkSession
 
 from repro import trajgen
 from repro.cluster import cluster_stream
-from repro.cluster.dbscan import cluster_snapshot
 from repro.core.icpe import detect
+from repro.core.reference import brute_clusters
 from repro.enumeration.ba import BAExplodedError, ba_enumerate
-from repro.enumeration.engine import EnumerationEngine
+from repro.enumeration.engine import run_engine
 from repro.enumeration.partition import id_partitions_py
 from repro.params import CPParams, pct_of_extent
 from repro.stream.pipeline import StreamingDetector, feed_batches
@@ -68,23 +68,6 @@ def params_for(cfg: TrajConfig, *, eps_pct: float = 0.06,
     )
     base.update(overrides)
     return CPParams(**base)
-
-
-def fast_clusters(pdf: pd.DataFrame, params: CPParams) -> dict[int, dict[int, int]]:
-    """Vectorized exact DBSCAN per snapshot (same semantics as Spark path)."""
-    out: dict[int, dict[int, int]] = {}
-    for t, snap in pdf.groupby("t"):
-        X = snap[["x", "y"]].to_numpy()
-        ids = snap["oid"].to_numpy()
-        D = np.abs(X[:, None, 0] - X[None, :, 0]) + np.abs(
-            X[:, None, 1] - X[None, :, 1]
-        )
-        a, b = np.nonzero((D <= params.eps) & ~np.eye(len(X), dtype=bool))
-        out[int(t)] = cluster_snapshot(
-            ids.tolist(), list(zip(ids[a].tolist(), ids[b].tolist())),
-            params.min_pts,
-        )
-    return out
 
 
 def avg_cluster_size(clusters: dict[int, dict[int, int]]) -> float:
@@ -152,7 +135,8 @@ def run_detection(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
     n = int(pdf["t"].nunique())
     out = {"method": enum_method, "dnf": False}
     if cluster_stats:
-        out["avg_cluster_size"] = avg_cluster_size(fast_clusters(pdf, params))
+        out["avg_cluster_size"] = avg_cluster_size(
+            brute_clusters(pdf, params.eps, params.min_pts))
     if enum_method == "ba":
         sdf = trajgen.to_spark(spark, pdf)
         start = time.perf_counter()
@@ -229,7 +213,7 @@ def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
 def run_enumeration(pdf: pd.DataFrame, params: CPParams, method: str, *,
                     ba_max_partition: int = 14) -> dict:
     """Fig 15: enumeration phase only (clustering precomputed/omitted)."""
-    clusters = fast_clusters(pdf, params)
+    clusters = brute_clusters(pdf, params.eps, params.min_pts)
     t_lo, t_hi = min(clusters), max(clusters)
     n = t_hi - t_lo + 1
     parts_all = id_partitions_py(clusters, params.m)
@@ -248,12 +232,8 @@ def run_enumeration(pdf: pd.DataFrame, params: CPParams, method: str, *,
         return {"method": "ba", "dnf": False, "latency_ms": 1000.0 * wall / n,
                 "throughput_tps": n / wall, "delay_snap": float("nan"),
                 "n_patterns": total}
-    engine = EnumerationEngine(params, method)
     start = time.perf_counter()
-    for t in range(t_lo, t_hi + 1):
-        parts_t = {a: d[t] for a, d in parts_all.items() if t in d}
-        engine.step(t, parts_t)
-    engine.finish()
+    engine = run_engine(parts_all, params, method, t_end=t_hi)
     wall = time.perf_counter() - start
     delays = engine.delays
     return {

@@ -12,10 +12,10 @@ The Flink job of Fig 3 maps onto Structured Streaming as follows:
 - **indexed clustering** (Sec 5) runs distributed per micro-batch: all
   snapshots released by the batch are clustered in one Spark job
   (RJC range join + DBSCAN);
-- **pattern enumeration** (Sec 6) advances the per-anchor
-  ``EnumerationEngine`` state (FBA sliding η-windows or VBA episode
-  state) snapshot by snapshot — the streaming analogue of Flink's
-  keyed subtask state.
+- **pattern enumeration** (Sec 6) advances one driver-side
+  ``EnumerationEngine``, which holds every anchor's state (FBA sliding
+  η-windows or VBA episode state), snapshot by snapshot — the streaming
+  analogue of Flink's keyed subtask state.
 
 ``StreamingDetector`` is shared by the in-process driver
 (``feed_batches``, used by tests/benchmarks for deterministic timing)

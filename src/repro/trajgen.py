@@ -219,24 +219,6 @@ def brinkhoff_like(*, or_ratio: float = 1.0, seed: int = 2,
     ), or_ratio)
 
 
-def default_params(cfg: TrajConfig, **overrides):
-    """Scaled Table-3 defaults for a dataset: ϵ/lg as % of max L1 extent.
-
-    Paper defaults (bold mid-range): lg=1.6%, ϵ=0.06%, M=15, K=180,
-    L=30, G=30, minPts=10 at ~20k trajectories / 1s-5s snapshots; ours
-    keep the K/L and G/L ratios at ~50× reduced scale (DESIGN.md §5).
-    """
-    from repro.params import CPParams, pct_of_extent
-
-    base = dict(
-        m=5, k=12, l=3, g=3, min_pts=5,
-        eps=pct_of_extent(cfg.l1_extent, 0.06),
-        lg=pct_of_extent(cfg.l1_extent, 1.6),
-    )
-    base.update(overrides)
-    return CPParams(**base)
-
-
 def _scaled(cfg: TrajConfig, or_ratio: float) -> TrajConfig:
     """Apply the paper's Or knob (ratio of objects used).
 

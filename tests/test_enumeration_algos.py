@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from repro.core import bitstring as bs
 from repro.core.reference import reference_patterns
 from repro.enumeration.ba import BAExplodedError, ba_enumerate
-from repro.enumeration.fba import fba_enumerate, window_bits
+from repro.enumeration.engine import run_engine
+from repro.enumeration.fba import window_bits
 from repro.enumeration.partition import id_partitions_py
-from repro.enumeration.vba import VBAState, vba_enumerate, vba_flush, vba_step
+from repro.enumeration.vba import VBAState, vba_flush, vba_step
 from repro.params import CPParams
 
 
@@ -31,21 +32,22 @@ def _random_clusters(n_obj, n_t, n_clusters, p_member, seed):
     return out
 
 
-def _mine(clusters, params, algo, **kw):
+def _mine(clusters, params, algo):
     """Run one subtask algorithm over all anchors; {O incl anchor → T}."""
     parts = id_partitions_py(clusters, params.m)
-    t_end = max(clusters) if clusters else None
+    if algo != "ba":
+        return run_engine(parts, params, algo, t_end=max(clusters)).patterns
     out = {}
     for anchor, p in parts.items():
-        if algo == "ba":
-            found = ba_enumerate(p, params, **kw)
-        elif algo == "fba":
-            found = fba_enumerate(p, params)
-        else:
-            found = vba_enumerate(p, params, t_end=t_end, **kw)
-        for O, T in found.items():
+        for O, T in ba_enumerate(p, params).items():
             out[frozenset(O | {anchor})] = T
     return out
+
+
+def _subtask(anchor, partitions, params, algo, t_end=None):
+    """One anchor's subtask through the engine; {O excl anchor → T}."""
+    found = run_engine({anchor: partitions}, params, algo, t_end=t_end)
+    return {O - {anchor}: T for O, T in found.patterns.items()}
 
 
 def _check_witnesses(found, clusters, params):
@@ -148,8 +150,8 @@ def _fig7_partitions_o4():
 
 @pytest.mark.parametrize("algo_fn", [
     lambda p, prm: ba_enumerate(p, prm),
-    lambda p, prm: fba_enumerate(p, prm),
-    lambda p, prm: vba_enumerate(p, prm, t_end=8),
+    lambda p, prm: _subtask(4, p, prm, "fba"),
+    lambda p, prm: _subtask(4, p, prm, "vba", t_end=8),
 ])
 def test_fig8_subtask_o4(algo_fn):
     # Bit strings of Fig 8 (window start 3, eta=6): o5=111111,
@@ -234,17 +236,8 @@ def test_vba_same_round_closures_combine():
     # must still be found (paper Algorithm 5 gap, fixed per DESIGN.md).
     params = CPParams(m=3, k=3, l=3, g=1, eps=1, min_pts=2, lg=1)
     parts = {1: frozenset({5, 6}), 2: frozenset({5, 6}), 3: frozenset({5, 6})}
-    found = vba_enumerate(parts, params, t_end=6)
+    found = _subtask(4, parts, params, "vba", t_end=6)
     assert frozenset({5, 6}) in found
-
-
-def test_vba_gc_is_lossless():
-    params = PARAMS
-    for seed in range(4):
-        clusters = _random_clusters(6, 14, 2, 0.6, seed=seed + 500)
-        assert set(_mine(clusters, params, "vba", gc=True)) == set(
-            _mine(clusters, params, "vba", gc=False)
-        )
 
 
 def test_vba_reports_only_at_closure():

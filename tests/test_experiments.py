@@ -5,22 +5,6 @@ import pytest
 
 from repro import experiments as ex
 from repro import tables
-from repro.core.reference import brute_clusters
-from repro.params import CPParams
-from repro.trajgen import TrajConfig
-
-
-def test_fast_clusters_matches_reference():
-    cfg = TrajConfig(n_objects=40, n_snapshots=4, n_groups=5,
-                     grouped_frac=0.8, cohesion=0.4, seed=3)
-    import repro.trajgen as tg
-    pdf = tg.generate(cfg)
-    params = CPParams(eps=2.0, min_pts=3, lg=10.0)
-    fast = ex.fast_clusters(pdf, params)
-    ref = brute_clusters(pdf, params.eps, params.min_pts)
-    assert {t: d for t, d in fast.items() if d} == {
-        t: d for t, d in ref.items() if d
-    }
 
 
 def test_avg_cluster_size():

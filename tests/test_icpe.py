@@ -6,6 +6,8 @@ import pytest
 from repro import trajgen
 from repro.core.icpe import detect
 from repro.core.reference import brute_clusters, reference_patterns
+from repro.enumeration.engine import run_engine
+from repro.enumeration.partition import id_partitions_py
 from repro.enumeration.runner import collect_patterns, enumerate_patterns
 from repro.params import CPParams
 from repro.trajgen import TrajConfig
@@ -32,6 +34,14 @@ def test_detect_matches_reference(spark, enum_method):
                  enum_method=enum_method, ba_max_partition=22)
     ref = _reference(pdf, PARAMS)
     assert set(res.patterns) == set(ref)
+    if enum_method != "ba":
+        # The per-anchor Spark subtasks find exactly what one in-process
+        # engine finds over the same partitions, witnesses included.
+        parts = id_partitions_py(
+            brute_clusters(pdf, PARAMS.eps, PARAMS.min_pts), PARAMS.m)
+        engine = run_engine(parts, PARAMS, enum_method,
+                            t_end=int(pdf["t"].max()))
+        assert res.patterns == engine.patterns
     assert res.n_snapshots == pdf["t"].nunique()
     if ref:
         assert res.avg_cluster_size >= PARAMS.min_pts - 1

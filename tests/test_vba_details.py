@@ -2,8 +2,9 @@
 import pytest
 
 from repro.core import bitstring as bs
+from repro.enumeration.engine import run_engine
 from repro.enumeration.vba import (VBAState, _close, _enumerate_with,
-                                   vba_enumerate, vba_flush, vba_step)
+                                   vba_flush, vba_step)
 from repro.params import CPParams
 
 P = CPParams(m=2, k=3, l=3, g=2, eps=1, min_pts=2, lg=1)
@@ -36,7 +37,9 @@ def test_reappearance_creates_second_episode():
     state, acc = _run(parts, P, 10)
     # Two distinct maximal sequences for the same pattern set.
     assert sorted(acc[frozenset({8})]) == [(1, 2, 3), (7, 8, 9)]
-    assert len(state.c) == 2  # two episodes of oid 8 in the candidate list
+    # GC collected episode 1..3 once 7..9 opened (3 < 7 + K − 1): only
+    # oid 8's second episode stays in the candidate list.
+    assert state.c == [(8, 7, 9, b("111"))]
 
 
 def test_invalid_episode_deleted_not_kept():
@@ -92,7 +95,7 @@ def test_vba_gc_retention_rule():
     # oid 2's episode 1..3 closes at 5; oid 9 stays open from t=1 on.
     seq = {1: {2, 9}, 2: {2, 9}, 3: {2, 9}, 4: {9}, 5: {9}, 6: {9}, 7: {9}}
     for t in range(1, 8):
-        vba_step(state, t, frozenset(seq[t]), params, gc=True)
+        vba_step(state, t, frozenset(seq[t]), params)
     # oid 9's open episode starts at 1 -> candidate (et=3) must be kept
     # (3 >= 1 + K - 1 = 3): a joint pattern with 9 is still possible.
     assert [e[0] for e in state.c] == [2]
@@ -100,7 +103,7 @@ def test_vba_gc_retention_rule():
     assert frozenset({2, 9}) in got  # and indeed it is found
 
 
-def test_vba_enumerate_t_end_extends_stream():
+def test_vba_episode_closes_in_t_end_padding():
     # Episodes still open at the last partition close during the padding
     # up to t_end, not only at flush.
     parts = {t: frozenset({4}) for t in (1, 2, 3)}
@@ -123,4 +126,4 @@ def test_step_rejects_time_gap():
 def test_singleton_pattern_not_emitted_when_m3():
     params = CPParams(m=3, k=3, l=3, g=1)
     parts = {t: frozenset({5}) for t in (1, 2, 3)}
-    assert vba_enumerate(parts, params, t_end=8) == {}
+    assert run_engine({1: parts}, params, "vba", t_end=8).patterns == {}
