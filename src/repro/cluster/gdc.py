@@ -15,13 +15,11 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.cluster.grid import allocate
-from repro.cluster.rangejoin import PAIRS_SCHEMA, canonical
+from repro.cluster.rangejoin import PAIRS_SCHEMA, _snapshot_slices, canonical
 
 
 def _cell_scan(pdf: pd.DataFrame, eps: float) -> pd.DataFrame:
     """Brute-force scan of one ϵ-cell: data×all candidates, per snapshot."""
-    from repro.cluster.rangejoin import _snapshot_slices
-
     ts, As, Bs = [], [], []
     for t, oid, x, y, n_data in _snapshot_slices(pdf):
         dx = np.abs(x[:n_data, None] - x[None, :])

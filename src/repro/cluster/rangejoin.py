@@ -1,13 +1,15 @@
 """RJC: the GR-index based range join of Sec 5.2 (Algorithms 1 + 2).
 
 Pipeline (Fig 5): GridAllocate (grid.py, pure Catalyst) → GridQuery
-(per-cell applyInPandas: local R-tree, Lemma 2 query-then-insert for
-data objects, upper-half probes for query objects) → GridSync
-(symmetrize). Each unordered pair is emitted exactly once by GridQuery
-— RJC needs no dedup shuffle, which is precisely its edge over SRJ.
+(per-cell applyInPandas: a sorted-x window over the cell's data
+objects, forward-only among data objects for Lemma 2, upper-half
+probes for query objects) → GridSync (symmetrize). Each unordered pair
+is emitted exactly once by GridQuery — RJC needs no dedup shuffle,
+which is precisely its edge over SRJ.
 
-Distances are L1 (Sec 3.3): the R-tree rectangle is the candidate
-region, the exact |dx|+|dy| ≤ ϵ check happens at emission.
+Distances are L1 (Sec 3.3): the inclusive square ``[x±ϵ]×[y±ϵ]`` is
+the candidate region, the exact |dx|+|dy| ≤ ϵ check happens at
+emission.
 
 Tie handling (exact-equal y across cells): the upper-half probe keeps a
 hit ``v`` for query object ``u`` iff ``v.y > u.y`` or
@@ -16,38 +18,33 @@ exactly one side (see DESIGN.md).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.cluster.grid import allocate
-from repro.cluster.rtree import RTree
 
 PAIRS_SCHEMA = "t long, a long, b long"
 
 
+def _sorted_cell(pdf: pd.DataFrame):
+    """One cell's GridObjects as numpy arrays ``(t, flag, oid, x, y)``
+    sorted by ``(t, flag, x, oid)``: per snapshot, the data objects
+    (flag=false) come first and in x order — the order the window kernel
+    searches — then the query objects. Everything downstream is plain
+    numpy work; pandas indexing is far too slow inside the per-cell
+    kernels."""
+    t, flag, oid, x, y = (pdf[c].to_numpy()
+                          for c in ("t", "flag", "oid", "x", "y"))
+    order = np.lexsort((oid, x, flag, t))  # last key is primary
+    return t[order], flag[order], oid[order], x[order], y[order]
+
+
 def _snapshot_slices(pdf: pd.DataFrame):
-    """Sort one cell's GridObjects and yield per-snapshot numpy slices.
-
-    Yields ``(t, oid, x, y, n_data)`` arrays with the data objects
-    (flag=false) first, sorted by oid — the iteration order Lemma 2
-    requires — followed by the query objects. Everything downstream is
-    plain numpy/float work; pandas indexing is far too slow inside the
-    per-cell kernels.
-    """
-    import numpy as np
-
-    t0 = pdf["t"].to_numpy()
-    flag0 = pdf["flag"].to_numpy()
-    oid0 = pdf["oid"].to_numpy()
-    order = np.lexsort((oid0, flag0, t0))  # last key is primary
-    t_arr = t0[order]
-    flag_arr = flag0[order]
-    oid_arr = oid0[order]
-    x_arr = pdf["x"].to_numpy()[order]
-    y_arr = pdf["y"].to_numpy()[order]
+    """Yield one cell's ``(t, oid, x, y, n_data)`` per snapshot, in the
+    order of ``_sorted_cell`` (data objects first)."""
+    t_arr, flag_arr, oid_arr, x_arr, y_arr = _sorted_cell(pdf)
     starts = np.flatnonzero(np.r_[True, t_arr[1:] != t_arr[:-1]])
     bounds = np.r_[starts, len(t_arr)]
     for i, lo in enumerate(starts):
@@ -57,39 +54,62 @@ def _snapshot_slices(pdf: pd.DataFrame):
                n_data)
 
 
+def _tx_key(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(t, x)`` as one complex key. numpy orders complex numbers
+    lexicographically (real part first), so one ``searchsorted`` over a
+    whole cell finds an x window inside a probe's own snapshot."""
+    key = np.empty(len(t), dtype=np.complex128)
+    key.real = t
+    key.imag = x
+    return key
+
+
+def window_join(t: np.ndarray, x: np.ndarray, y: np.ndarray,
+                data: np.ndarray, probes: np.ndarray, eps: float, *,
+                forward: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``: data object ``j`` in probe ``i``'s range.
+
+    ``data`` and ``probes`` index into ``t, x, y``; ``data`` must be in
+    ``(t, x)`` order. For every probe, ``searchsorted`` finds the data
+    objects of the same snapshot whose x lies in the inclusive window
+    ``[x−ϵ, x+ϵ]``; the windows are expanded into index pairs without a
+    Python loop, then the y side of the same inclusive square and the
+    exact L1 check ``|dx|+|dy| ≤ ϵ`` filter them. ``forward`` (probes
+    are the data objects themselves) keeps only data after the probe.
+    """
+    keys = _tx_key(t[data], x[data])
+    tp, xp = t[probes], x[probes]
+    lo = np.searchsorted(keys, _tx_key(tp, xp - eps), side="left")
+    hi = np.searchsorted(keys, _tx_key(tp, xp + eps), side="right")
+    if forward:
+        lo = np.maximum(lo, np.arange(1, len(probes) + 1))
+    n = np.maximum(hi - lo, 0)
+    i = np.repeat(probes, n)
+    j = data[np.arange(int(n.sum())) + np.repeat(lo - (np.cumsum(n) - n), n)]
+    yi, yj = y[i], y[j]
+    keep = ((yj >= yi - eps) & (yj <= yi + eps)
+            & (np.abs(x[j] - x[i]) + np.abs(yj - yi) <= eps))
+    return i[keep], j[keep]
+
+
 def _grid_query_cell(pdf: pd.DataFrame, eps: float) -> pd.DataFrame:
     """GridQuery (Algorithm 2) for one cell subtask, every snapshot.
 
     One grid cell is one keyed subtask that sees the cell's GridObjects
-    of *all* snapshots (Flink's keyBy(cell)); a fresh R-tree is built
-    per snapshot and discarded after querying (Sec 5.2: "a GR-index is
-    built for each snapshot, and is deleted after querying").
+    of *all* snapshots (Flink's keyBy(cell)); the x-sorted local index
+    never mixes snapshots (Sec 5.2: "a GR-index is built for each
+    snapshot, and is deleted after querying").
     """
-    out_t: list[int] = []
-    out_a: list[int] = []
-    out_b: list[int] = []
-    for t, oid, x, y, n_data in _snapshot_slices(pdf):
-        rt = RTree()
-        # Data objects: query-then-insert (Lemma 2); full-square region.
-        for i in range(n_data):
-            xi, yi, oi = x[i], y[i], oid[i]
-            for hx, hy, hid in rt.query((xi - eps, yi - eps, xi + eps, yi + eps)):
-                if abs(hx - xi) + abs(hy - yi) <= eps:
-                    out_t.append(t)
-                    out_a.append(hid)
-                    out_b.append(oi)
-            rt.insert(xi, yi, oi)
-        # Query objects: upper-half probe with the y/id tie-break.
-        for i in range(n_data, len(oid)):
-            xi, yi, oi = x[i], y[i], oid[i]
-            for hx, hy, hid in rt.query((xi - eps, yi, xi + eps, yi + eps)):
-                if (hy > yi or (hy == yi and hid > oi)) and abs(hx - xi) + abs(
-                    hy - yi
-                ) <= eps:
-                    out_t.append(t)
-                    out_a.append(oi)
-                    out_b.append(hid)
-    return pd.DataFrame({"t": out_t, "a": out_a, "b": out_b}, dtype="int64")
+    t, flag, oid, x, y = _sorted_cell(pdf)
+    data, query = np.flatnonzero(~flag), np.flatnonzero(flag)
+    # Lemma 2: a data object pairs only with the data objects after it
+    # in x order, so each within-cell pair is found once.
+    i, j = window_join(t, x, y, data, data, eps, forward=True)
+    # Lemma 1: query objects keep upper-half hits, with the y/id tie-break.
+    qi, qj = window_join(t, x, y, data, query, eps)
+    up = (y[qj] > y[qi]) | ((y[qj] == y[qi]) & (oid[qj] > oid[qi]))
+    a, b = np.r_[i, qi[up]], np.r_[j, qj[up]]
+    return pd.DataFrame({"t": t[a], "a": oid[a], "b": oid[b]}, dtype="int64")
 
 
 def rjc_pairs(snapshots: DataFrame, *, eps: float, lg: float) -> DataFrame:

@@ -2,41 +2,32 @@
 
 The state-of-the-art distributed streaming range join *without* the
 paper's two pruning lemmas: every location is replicated to **all**
-grid cells intersecting its full square range region, each cell builds
-its R-tree up front and then probes it for every data and query object,
-and the duplicated results are removed by a global distinct — the extra
+grid cells intersecting its full square range region, every data and
+query object in a cell probes the cell's data objects over the full
+square (the same sorted-x window kernel as RJC, without its masks), and
+the duplicated results are removed by a global distinct — the extra
 replication and the dedup shuffle are exactly what RJC's Lemmas 1 and 2
 avoid.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.cluster.grid import allocate
-from repro.cluster.rangejoin import PAIRS_SCHEMA, canonical
-from repro.cluster.rtree import RTree
+from repro.cluster.rangejoin import (PAIRS_SCHEMA, _sorted_cell, canonical,
+                                     window_join)
 
 
 def _cell_join(pdf: pd.DataFrame, eps: float) -> pd.DataFrame:
-    """Per snapshot: build the cell's R-tree, then probe every object."""
-    from repro.cluster.rangejoin import _snapshot_slices
-
-    out_t: list[int] = []
-    out_a: list[int] = []
-    out_b: list[int] = []
-    for t, oid, x, y, n_data in _snapshot_slices(pdf):
-        rt = RTree()
-        for i in range(n_data):
-            rt.insert(x[i], y[i], oid[i])
-        for i in range(len(oid)):
-            xi, yi, oi = x[i], y[i], oid[i]
-            for hx, hy, hid in rt.query((xi - eps, yi - eps, xi + eps, yi + eps)):
-                if hid != oi and abs(hx - xi) + abs(hy - yi) <= eps:
-                    out_t.append(t)
-                    out_a.append(oi)
-                    out_b.append(hid)
-    return pd.DataFrame({"t": out_t, "a": out_a, "b": out_b}, dtype="int64")
+    """Every data and query object probes the cell's data objects."""
+    t, flag, oid, x, y = _sorted_cell(pdf)
+    i, j = window_join(t, x, y, np.flatnonzero(~flag), np.arange(len(t)),
+                       eps)
+    keep = oid[i] != oid[j]
+    i, j = i[keep], j[keep]
+    return pd.DataFrame({"t": t[i], "a": oid[i], "b": oid[j]}, dtype="int64")
 
 
 def srj_pairs(snapshots: DataFrame, *, eps: float, lg: float) -> DataFrame:

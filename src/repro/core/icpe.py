@@ -33,6 +33,8 @@ def detect(snapshots: DataFrame, params: CPParams, *,
            ba_max_partition: int = 20,
            num_partitions: int | None = None) -> ICPEResult:
     """Run ICPE over a finite snapshot stream ``(t, oid, x, y)``."""
+    t_end, n_snapshots = snapshots.agg(F.max("t"),
+                                       F.countDistinct("t")).collect()[0]
     clusters = cluster_stream(snapshots, params, cluster_method)
     clusters.cache()
     try:
@@ -40,7 +42,6 @@ def detect(snapshots: DataFrame, params: CPParams, *,
             F.avg("count").alias("avg"), F.count("*").alias("n")
         ).collect()[0]
         avg_cluster = float(stats["avg"]) if stats["n"] else 0.0
-        t_end = snapshots.agg(F.max("t")).collect()[0][0]
         parts = id_partitions(clusters, params.m)
         pats = enumerate_patterns(
             parts, params, method=enum_method, t_end=t_end,
@@ -49,6 +50,5 @@ def detect(snapshots: DataFrame, params: CPParams, *,
         patterns = collect_patterns(pats)
     finally:
         clusters.unpersist()
-    n_snapshots = snapshots.select("t").distinct().count()
     return ICPEResult(patterns=patterns, n_snapshots=n_snapshots,
                       avg_cluster_size=avg_cluster)

@@ -1,7 +1,7 @@
 """Experiment harness reproducing the paper's evaluation (Sec 7).
 
-One entry point per measured quantity; ``jobs/table_*.py`` and
-``benchmarks/bench_*.py`` are thin wrappers. Metrics (DESIGN.md §3):
+One entry point per measured quantity; ``jobs/table_*.py`` (through
+``repro.tables``) are thin wrappers. Metrics (DESIGN.md §3):
 
 - **latency_ms** — average per-snapshot processing wall time
   (clustering + enumeration; amortized over the stream);

@@ -3,8 +3,7 @@
 Each ``sweep_*`` reproduces one results figure as a printed table of
 rows: the same parameter axis, the same methods, the same metrics (see
 ``repro.experiments`` for metric definitions). ``jobs/table_*.py`` are
-the spark-submit entrypoints; ``benchmarks/bench_*.py`` wrap single
-cells of each sweep for pytest-benchmark regression tracking.
+the spark-submit entrypoints.
 
 Sweep ranges follow Table 3; dataset sizes follow the scaled presets
 (DESIGN.md §5). ``quick=True`` trims each axis to its endpoints for

@@ -10,8 +10,9 @@ import pytest
 from repro import trajgen
 from repro.cluster.gdc import gdc_pairs
 from repro.cluster.grid import allocate, with_home_key
-from repro.cluster.rangejoin import canonical, grid_sync, rjc_pairs
-from repro.cluster.srj import srj_pairs
+from repro.cluster.rangejoin import (_grid_query_cell, canonical, grid_sync,
+                                     rjc_pairs)
+from repro.cluster.srj import _cell_join, srj_pairs
 from repro.core.reference import brute_pairs
 from repro.oracle import assert_equivalent
 from repro.trajgen import TrajConfig
@@ -158,3 +159,96 @@ def test_trajectory_data_end_to_end_pairs(spark):
     df = trajgen.to_spark(spark, pdf)
     eps, lg = 8.0, 40.0
     assert _got(rjc_pairs(df, eps=eps, lg=lg)) == _expected(pdf, eps)
+
+
+# ------------------------------------------- per-cell window kernels
+#
+# GridObjects are built once per case with Spark's GridAllocate, then
+# every cell is handed to the kernel serially — the same call Spark's
+# GridQuery makes per keyed cell subtask.
+
+def _gridobjects(spark, pdf, eps, lg, upper_half):
+    df = spark.createDataFrame(pdf[["oid", "t", "x", "y"]],
+                               schema="oid long, t long, x double, y double")
+    return allocate(df, lg=lg, eps=eps, upper_half=upper_half).toPandas()
+
+
+def _serial_rows(kernel, gobj, eps):
+    """(t, least, greatest) of every row the kernel emits, over all cells."""
+    rows = []
+    for _, cell in gobj.groupby(["kx", "ky"]):
+        out = kernel(cell, eps)
+        rows += [(t, min(a, b), max(a, b))
+                 for t, a, b in zip(out["t"], out["a"], out["b"])]
+    return rows
+
+
+def _check_kernels(spark, pdf, eps, lg):
+    """RJC: each brute-force pair exactly once; SRJ: same pair set."""
+    expect = _expected(pdf, eps)
+    rjc = _serial_rows(_grid_query_cell,
+                       _gridobjects(spark, pdf, eps, lg, True), eps)
+    assert len(rjc) == len(set(rjc))
+    assert set(rjc) == expect
+    srj = _serial_rows(_cell_join, _gridobjects(spark, pdf, eps, lg, False),
+                       eps)
+    assert set(srj) == expect
+    return expect
+
+
+def _points(xy, t=1):
+    return pd.DataFrame({
+        "oid": np.arange(len(xy), dtype=np.int64),
+        "t": np.full(len(xy), t, dtype=np.int64),
+        "x": [float(p[0]) for p in xy],
+        "y": [float(p[1]) for p in xy],
+    })
+
+
+def test_kernels_emit_pair_at_exactly_eps(spark):
+    # L1 distance exactly ϵ within a cell and across the x=10 border;
+    # 4.5 > ϵ is not a pair.
+    pdf = _points([(1.0, 1.0), (3.0, 3.0), (9.0, 5.0), (11.0, 7.0),
+                   (11.5, 7.0)])
+    expect = _check_kernels(spark, pdf, eps=4.0, lg=10.0)
+    assert {(1, 0, 1), (1, 2, 3)} <= expect
+    assert (1, 2, 4) not in expect
+
+
+def test_kernels_coincident_points_each_pair_once(spark):
+    # k coincident points give C(k, 2) pairs — inside a cell and on a
+    # cell corner, where the copies are also query objects elsewhere.
+    k = 6
+    pdf = _points([(2.5, 2.5)] * k + [(10.0, 10.0)] * k)
+    expect = _check_kernels(spark, pdf, eps=1.0, lg=10.0)
+    assert len(expect) == 2 * k * (k - 1) // 2
+
+
+def test_kernels_equal_x_at_window_edge(spark):
+    # Several data objects share x = probe.x ± ϵ exactly (searchsorted
+    # sides), with dy = 0 (L1 = ϵ, kept) and dy = 0.5 (dropped).
+    pdf = _points([(5.0, 5.0), (7.0, 5.0), (7.0, 5.0), (7.0, 5.5),
+                   (3.0, 5.0), (3.0, 4.5), (3.0, 5.0), (5.0, 3.0)])
+    expect = _check_kernels(spark, pdf, eps=2.0, lg=20.0)
+    assert {(1, 0, 1), (1, 0, 2), (1, 0, 4), (1, 0, 6), (1, 0, 7)} <= expect
+    assert (1, 0, 3) not in expect and (1, 0, 5) not in expect
+
+
+def test_kernels_query_only_cell_gives_no_rows(spark):
+    pdf = _points([(9.0, 5.0), (8.5, 5.5)])
+    for upper_half, kernel in ((True, _grid_query_cell), (False, _cell_join)):
+        gobj = _gridobjects(spark, pdf, eps=2.0, lg=10.0,
+                            upper_half=upper_half)
+        cells = [c for _, c in gobj.groupby(["kx", "ky"]) if c["flag"].all()]
+        assert cells
+        assert all(len(kernel(c, 2.0)) == 0 for c in cells)
+
+
+@pytest.mark.parametrize("eps", [3.0, 5.0, 7.5])   # ϵ < lg, = lg, > lg
+def test_kernels_lattice_cloud_match_bruteforce(spark, eps):
+    # Coordinates on a 0.5 lattice: equal x, equal y, coincident points,
+    # L1 distances of exactly ϵ and points on cell borders are common.
+    pdf = _cloud(n=150, n_t=2, extent=20.0, seed=int(eps * 10))
+    pdf["x"] = (pdf["x"] * 2).round() / 2
+    pdf["y"] = (pdf["y"] * 2).round() / 2
+    _check_kernels(spark, pdf, eps=eps, lg=5.0)
