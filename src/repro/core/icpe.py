@@ -2,8 +2,9 @@
 
 Chains the two phases over a finite stream of snapshots:
 indexed clustering (RJC/SRJ/GDC + DBSCAN) → id-based partitioning →
-pattern enumeration (BA/FBA/VBA). The per-snapshot incremental path
-used for latency measurements and true streaming lives in
+pattern enumeration (BA/FBA/VBA, one subtask per anchor bucket). The
+per-snapshot incremental path used for latency measurements and true
+streaming lives in
 ``repro.stream.pipeline``; both paths share all phase implementations.
 """
 from __future__ import annotations
@@ -21,34 +22,30 @@ from repro.params import CPParams
 
 @dataclass(frozen=True)
 class ICPEResult:
-    """Patterns plus the intermediate stats the paper reports (Fig 12)."""
+    """Patterns (object set → witness times) and the stream length."""
 
     patterns: dict[frozenset[int], tuple[int, ...]]
     n_snapshots: int
-    avg_cluster_size: float
 
 
 def detect(snapshots: DataFrame, params: CPParams, *,
            cluster_method: str = "rjc", enum_method: str = "fba",
-           ba_max_partition: int = 20,
-           num_partitions: int | None = None) -> ICPEResult:
-    """Run ICPE over a finite snapshot stream ``(t, oid, x, y)``."""
+           ba_max_partition: int = 20) -> ICPEResult:
+    """Run ICPE over a finite snapshot stream ``(t, oid, x, y)``.
+
+    Raises ``BAExplodedError`` if BA's candidate budget is exceeded.
+    """
     t_end, n_snapshots = snapshots.agg(F.max("t"),
                                        F.countDistinct("t")).collect()[0]
     clusters = cluster_stream(snapshots, params, cluster_method)
     clusters.cache()
     try:
-        stats = clusters.groupBy("t", "cid").count().agg(
-            F.avg("count").alias("avg"), F.count("*").alias("n")
-        ).collect()[0]
-        avg_cluster = float(stats["avg"]) if stats["n"] else 0.0
         parts = id_partitions(clusters, params.m)
         pats = enumerate_patterns(
             parts, params, method=enum_method, t_end=t_end,
-            ba_max_partition=ba_max_partition, num_partitions=num_partitions,
+            ba_max_partition=ba_max_partition,
         )
         patterns = collect_patterns(pats)
     finally:
         clusters.unpersist()
-    return ICPEResult(patterns=patterns, n_snapshots=n_snapshots,
-                      avg_cluster_size=avg_cluster)
+    return ICPEResult(patterns=patterns, n_snapshots=n_snapshots)

@@ -2,10 +2,10 @@
 
 This is the only FBA/VBA driver. The Structured Streaming detector
 steps it as snapshots are released; ``run_engine`` steps it over a
-finite set of partitions for the batch runner (one anchor per
-``applyInPandas`` group) and the Fig 15 enumeration benchmarks (where
-the paper omits clustering). It consumes one snapshot's id-based
-partitions at a time and maintains, per anchor (= Flink subtask):
+finite set of partitions for the batch runner (one engine per bucket
+of anchors) and the Fig 15 enumeration benchmarks (where the paper
+omits clustering). It consumes one snapshot's id-based partitions at a
+time and maintains, per anchor (= Flink keyed state):
 
 - FBA: the sliding window of partitions; the η-window starting at
   ``t−η+1`` is evaluated when snapshot ``t`` arrives, then forgotten;

@@ -4,24 +4,24 @@ For each cluster snapshot, every trajectory ``o`` receives the
 partition ``P_t(o)`` = the other members of its cluster with ids
 larger than ``o.id``; at different times the partitions with the same
 anchor are routed to the same subtask (in Spark: the same
-``groupBy("anchor")`` group). Clusters smaller than the significance
+anchor bucket of the runner). Clusters smaller than the significance
 constraint M are discarded up front (Lemma 3).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+import pandas as pd
+from pyspark.sql import DataFrame
 
 PARTITIONS_SCHEMA = "t long, anchor long, member long"
 
 
 def id_partitions_py(labels_by_t: dict[int, dict[int, int]], m: int
                      ) -> dict[int, dict[int, frozenset[int]]]:
-    """Pure-Python id-based partitioning: {anchor → {t → P_t(anchor)}}.
+    """Id-based partitioning: {anchor → {t → P_t(anchor)}}.
 
-    Same semantics as ``id_partitions`` (Lemma 3 filter included);
-    shared by the enumeration unit tests and the per-snapshot streaming
-    driver, which partition on the driver side.
+    ``member > anchor`` avoids duplicate pattern discovery: a pattern is
+    found exactly once, in the subtask of its minimum-id member. The one
+    implementation: the Spark ``id_partitions`` runs it per snapshot.
     """
     out: dict[int, dict[int, frozenset[int]]] = {}
     for t, labels in labels_by_t.items():
@@ -37,27 +37,18 @@ def id_partitions_py(labels_by_t: dict[int, dict[int, int]], m: int
     return out
 
 
-def significant_clusters(clusters: DataFrame, m: int) -> DataFrame:
-    """Lemma 3: drop clusters with fewer than M members."""
-    w = Window.partitionBy("t", "cid")
-    return (
-        clusters.withColumn("_n", F.count("*").over(w))
-        .where(F.col("_n") >= m)
-        .drop("_n")
-    )
-
-
 def id_partitions(clusters: DataFrame, m: int) -> DataFrame:
     """Cluster snapshots ``(t, cid, oid)`` → partitions ``(t, anchor, member)``.
 
-    ``member > anchor`` avoids duplicate pattern discovery: a pattern is
-    found exactly once, in the subtask of its minimum-id member.
+    One ``applyInPandas`` group per snapshot runs ``id_partitions_py``.
     """
-    sig = significant_clusters(clusters, m)
-    a = sig.select("t", "cid", F.col("oid").alias("anchor"))
-    b = sig.select("t", "cid", F.col("oid").alias("member"))
-    return (
-        a.join(b, ["t", "cid"])
-        .where(F.col("member") > F.col("anchor"))
-        .select("t", "anchor", "member")
-    )
+    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
+        t = int(pdf["t"].iloc[0])
+        labels = dict(zip(pdf["oid"].tolist(), pdf["cid"].tolist()))
+        rows = [(t, anchor, member)
+                for anchor, by_t in id_partitions_py({t: labels}, m).items()
+                for member in by_t[t]]
+        return pd.DataFrame(rows, columns=["t", "anchor", "member"],
+                            dtype="int64")
+
+    return clusters.groupBy("t").applyInPandas(fn, schema=PARTITIONS_SCHEMA)

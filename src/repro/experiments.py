@@ -122,7 +122,6 @@ def run_clustering(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
 def run_detection(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
                   params: CPParams, enum_method: str, *,
                   n_batches: int = 8, ba_max_partition: int = 14,
-                  num_partitions: int | None = None,
                   cluster_stats: bool = True) -> dict:
     """Figs 12/13: full pattern detection (clustering + enumeration).
 
@@ -142,15 +141,12 @@ def run_detection(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
         start = time.perf_counter()
         try:
             res = detect(sdf, params, enum_method="ba",
-                         ba_max_partition=ba_max_partition,
-                         num_partitions=num_partitions)
-        except Exception as e:  # BAExplodedError surfaces wrapped by Spark
-            if "BAExplodedError" in str(type(e)) or "2^n candidate" in str(e):
-                out.update(dnf=True, latency_ms=float("nan"),
-                           throughput_tps=float("nan"), delay_snap=float("nan"),
-                           n_patterns=0)
-                return out
-            raise
+                         ba_max_partition=ba_max_partition)
+        except BAExplodedError:
+            out.update(dnf=True, latency_ms=float("nan"),
+                       throughput_tps=float("nan"), delay_snap=float("nan"),
+                       n_patterns=0)
+            return out
         wall = time.perf_counter() - start
         out.update(latency_ms=1000.0 * wall / n, throughput_tps=n / wall,
                    delay_snap=float("nan"), n_patterns=len(res.patterns))
@@ -174,13 +170,13 @@ def run_detection(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
 
 def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
                         params: CPParams, enum_method: str, *,
-                        num_partitions: int | None = None,
                         shuffle_partitions: int | None = None,
                         repeats: int = 2) -> dict:
     """Fig 14: fully distributed batch run with throttled parallelism.
 
-    ``shuffle_partitions``/``num_partitions`` emulate the cluster size N
-    (DESIGN.md §3): every keyed stage runs at most N concurrent tasks.
+    ``shuffle_partitions`` emulates the cluster size N (DESIGN.md §3):
+    every keyed stage runs at most N tasks, and enumeration runs in at
+    most N subtasks (``repartition("anchor")`` buckets).
     Best of ``repeats`` runs (single-run Spark walls are ±15% noisy).
     """
     warm_up(spark)
@@ -194,8 +190,7 @@ def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
         walls, res = [], None
         for _ in range(repeats):
             start = time.perf_counter()
-            res = detect(sdf, params, enum_method=enum_method,
-                         num_partitions=num_partitions)
+            res = detect(sdf, params, enum_method=enum_method)
             walls.append(time.perf_counter() - start)
         wall = min(walls)
         return {

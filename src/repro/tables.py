@@ -136,7 +136,6 @@ def sweep_t14_scalability(spark: SparkSession, *, quick: bool = False,
         for n in _trim(N_SWEEP, quick):
             for method in ("fba", "vba"):
                 r = ex.run_detection_batch(spark, pdf, params, method,
-                                           num_partitions=n,
                                            shuffle_partitions=n)
                 rows.append({"dataset": name, "n_workers": n, **r})
     return rows

@@ -93,7 +93,7 @@ def test_detection_batch_throttle_smoke(spark):
     cfg, pdf = ex.make_dataset("geolife", n_snapshots=24)
     params = ex.params_for(cfg)
     r2 = ex.run_detection_batch(spark, pdf, params, "fba",
-                                num_partitions=2, shuffle_partitions=2)
+                                shuffle_partitions=2)
     assert r2["throughput_tps"] > 0
     # conf restored after the run
     assert spark.conf.get("spark.sql.shuffle.partitions") != "2"

@@ -6,9 +6,11 @@ import pytest
 from repro import trajgen
 from repro.core.icpe import detect
 from repro.core.reference import brute_clusters, reference_patterns
+from repro.enumeration.ba import BAExplodedError
 from repro.enumeration.engine import run_engine
 from repro.enumeration.partition import id_partitions_py
 from repro.enumeration.runner import collect_patterns, enumerate_patterns
+from repro.experiments import run_detection
 from repro.params import CPParams
 from repro.trajgen import TrajConfig
 
@@ -43,8 +45,6 @@ def test_detect_matches_reference(spark, enum_method):
                             t_end=int(pdf["t"].max()))
         assert res.patterns == engine.patterns
     assert res.n_snapshots == pdf["t"].nunique()
-    if ref:
-        assert res.avg_cluster_size >= PARAMS.min_pts - 1
 
 
 @pytest.mark.parametrize("cluster_method", ["rjc", "srj", "gdc"])
@@ -77,16 +77,47 @@ def test_detect_empty_when_no_density(spark):
     params = CPParams(m=3, k=4, l=2, g=2, eps=0.5, min_pts=5, lg=10.0)
     res = detect(trajgen.to_spark(spark, pdf), params)
     assert res.patterns == {}
-    assert res.avg_cluster_size == 0.0
 
 
-def test_runner_num_partitions_invariant(spark):
-    # Throttling parallelism (the Fig 14 N knob) must not change results.
-    pdf = _small_stream(seed=7)
-    full = detect(trajgen.to_spark(spark, pdf), PARAMS, enum_method="fba")
-    throttled = detect(trajgen.to_spark(spark, pdf), PARAMS,
-                       enum_method="fba", num_partitions=2)
-    assert full.patterns == throttled.patterns
+def _detect_with_conf(spark, sdf, enum_method, conf):
+    old = {k: spark.conf.get(k) for k in conf}
+    for k, v in conf.items():
+        spark.conf.set(k, v)
+    try:
+        return detect(sdf, PARAMS, enum_method=enum_method,
+                      ba_max_partition=22)
+    finally:
+        for k, v in old.items():
+            spark.conf.set(k, v)
+
+
+@pytest.mark.parametrize("enum_method", ["ba", "fba", "vba"])
+def test_runner_bucket_count_invariant(spark, enum_method):
+    # spark.sql.shuffle.partitions (the Fig 14 N) bounds how many anchor
+    # buckets, i.e. enumeration subtasks, there are; 1 puts every anchor
+    # into one engine. Results must not depend on it.
+    shuffle = "spark.sql.shuffle.partitions"
+    # AQE would coalesce any bucket count into one at this size.
+    coalesce = "spark.sql.adaptive.coalescePartitions.enabled"
+    before = {k: spark.conf.get(k) for k in (shuffle, coalesce)}
+    sdf = trajgen.to_spark(spark, _small_stream(seed=7))
+    spread = _detect_with_conf(spark, sdf, enum_method,
+                               {shuffle: "8", coalesce: "false"})
+    single = _detect_with_conf(spark, sdf, enum_method, {shuffle: "1"})
+    assert spread.patterns
+    assert single.patterns == spread.patterns
+    assert {k: spark.conf.get(k) for k in before} == before
+
+
+def test_detect_ba_explosion_raises_typed_error(spark):
+    pdf = _small_stream(seed=3)
+    with pytest.raises(BAExplodedError):
+        detect(trajgen.to_spark(spark, pdf), PARAMS, enum_method="ba",
+               ba_max_partition=2)
+    cfg = TrajConfig(n_objects=36, n_snapshots=12)
+    r = run_detection(spark, pdf, cfg, PARAMS, "ba", ba_max_partition=2,
+                      cluster_stats=False)
+    assert r["dnf"] and r["n_patterns"] == 0
 
 
 def test_runner_rejects_unknown_method(spark):
