@@ -175,15 +175,21 @@ def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
     """Fig 14: fully distributed batch run with throttled parallelism.
 
     ``shuffle_partitions`` emulates the cluster size N (DESIGN.md §3):
-    every keyed stage runs at most N tasks, and enumeration runs in at
-    most N subtasks (``repartition("anchor")`` buckets).
+    every keyed stage runs N tasks, and enumeration runs in N subtasks
+    (``repartition("anchor")`` buckets). AQE's partition coalescing is
+    off for the run, since it would merge small buckets into one task
+    whatever N is. Both confs are restored afterwards.
     Best of ``repeats`` runs (single-run Spark walls are ±15% noisy).
     """
     warm_up(spark)
     conf = spark.conf
-    old = conf.get("spark.sql.shuffle.partitions")
-    if shuffle_partitions is not None:
-        conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
+    throttle = {} if shuffle_partitions is None else {
+        "spark.sql.shuffle.partitions": str(shuffle_partitions),
+        "spark.sql.adaptive.coalescePartitions.enabled": "false",
+    }
+    old = {k: conf.get(k) for k in throttle}
+    for k, v in throttle.items():
+        conf.set(k, v)
     try:
         sdf = trajgen.to_spark(spark, pdf)
         n = int(pdf["t"].nunique())
@@ -200,7 +206,8 @@ def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
             "n_patterns": len(res.patterns),
         }
     finally:
-        conf.set("spark.sql.shuffle.partitions", old)
+        for k, v in old.items():
+            conf.set(k, v)
 
 
 # ----------------------------------------------------------- enumeration

@@ -5,12 +5,13 @@ import pandas as pd
 import pytest
 
 from repro import trajgen
-from repro.cluster import cluster_stream
+from repro.cluster import cluster_local, cluster_stream
 from repro.cluster.dbscan import cluster_snapshot
 from repro.core.reference import brute_clusters, brute_pairs
 from repro.oracle import assert_equivalent
 from repro.params import CPParams
 from repro.trajgen import TrajConfig
+from tests.test_rangejoin import _cloud, _points
 
 
 def _clusters_as_sets(rows):
@@ -154,3 +155,68 @@ def test_core_points_match_oracle(spark):
         """,
         pts=pdf,
     )
+
+
+# ------------------------------------------------------ in-process path
+#
+# cluster_local runs the RJC window kernel over the whole input as one
+# cell, then cluster_snapshot per snapshot. Its labels must equal the
+# brute-force reference exactly and the Spark stage's collected rows
+# (which omit all-noise snapshots). Point sets are the per-cell kernel
+# edge cases of tests/test_rangejoin.py.
+
+def _check_local(spark, pdf, params):
+    got = cluster_local(pdf, params)
+    assert got == brute_clusters(pdf, params.eps, params.min_pts)
+    sdf = spark.createDataFrame(pdf[["t", "oid", "x", "y"]],
+                                schema="t long, oid long, x double, y double")
+    dist = {}
+    for r in cluster_stream(sdf, params).collect():
+        dist.setdefault(r.t, {})[r.oid] = r.cid
+    assert {t: labels for t, labels in got.items() if labels} == dist
+    return got
+
+
+def test_cluster_local_pair_at_exactly_eps(spark):
+    # (1,1)-(3,3) and (9,5)-(11,7) are exactly ϵ = 4 apart, the second
+    # across the x = 10 cell border; (9,5)-(11.5,7) is 4.5.
+    pdf = _points([(1.0, 1.0), (3.0, 3.0), (9.0, 5.0), (11.0, 7.0),
+                   (11.5, 7.0)])
+    got = _check_local(spark, pdf, CPParams(eps=4.0, lg=10.0, min_pts=2))
+    assert got == {1: {0: 0, 1: 0, 2: 2, 3: 2, 4: 2}}
+
+
+def test_cluster_local_coincident_points(spark):
+    k = 6
+    pdf = _points([(2.5, 2.5)] * k + [(10.0, 10.0)] * k)
+    got = _check_local(spark, pdf, CPParams(eps=1.0, lg=10.0, min_pts=k))
+    assert sorted(got[1].values()) == [0] * k + [k] * k
+
+
+@pytest.mark.parametrize("eps", [5.0, 7.5])   # ϵ = lg, ϵ > lg
+def test_cluster_local_lattice_eps_at_least_lg(spark, eps):
+    pdf = _cloud(n=150, n_t=2, extent=20.0, seed=int(eps * 10))
+    pdf["x"] = (pdf["x"] * 2).round() / 2
+    pdf["y"] = (pdf["y"] * 2).round() / 2
+    got = _check_local(spark, pdf, CPParams(eps=eps, lg=5.0, min_pts=4))
+    assert all(got[t] for t in (1, 2))
+
+
+def test_cluster_local_empty_release(spark):
+    pdf = _points([(0.0, 0.0)]).iloc[:0]
+    assert _check_local(spark, pdf, CPParams(eps=4.0, lg=10.0,
+                                             min_pts=2)) == {}
+
+
+def test_cluster_local_all_noise(spark):
+    # Pairs exist, but no point reaches minPts: every snapshot is noise.
+    pdf = pd.concat([_points([(0.0, 0.0), (1.0, 0.0), (50.0, 50.0)], t=t)
+                     for t in (3, 4)], ignore_index=True)
+    got = _check_local(spark, pdf, CPParams(eps=2.0, lg=10.0, min_pts=3))
+    assert got == {3: {}, 4: {}}
+
+
+def test_cluster_local_trajectories(spark):
+    pdf = trajgen.generate(TrajConfig(n_objects=90, n_snapshots=4, seed=13))
+    got = _check_local(spark, pdf, CPParams(eps=10.0, lg=50.0, min_pts=4))
+    assert any(got.values())

@@ -1,5 +1,6 @@
 """Tests for the experiment harness (metrics, sweeps, reporting)."""
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -97,3 +98,25 @@ def test_detection_batch_throttle_smoke(spark):
     assert r2["throughput_tps"] > 0
     # conf restored after the run
     assert spark.conf.get("spark.sql.shuffle.partitions") != "2"
+
+
+def test_detection_batch_throttle_sets_and_restores_confs(spark,
+                                                          monkeypatch):
+    # N must set the keyed-stage task count, so AQE may not coalesce the
+    # N shuffle partitions during the run; both confs come back after.
+    keys = ("spark.sql.shuffle.partitions",
+            "spark.sql.adaptive.coalescePartitions.enabled")
+    before = {k: spark.conf.get(k) for k in keys}
+    seen = []
+
+    def fake_detect(sdf, params, enum_method):
+        seen.append({k: spark.conf.get(k) for k in keys})
+        return SimpleNamespace(patterns={})
+
+    monkeypatch.setattr(ex, "warm_up", lambda spark: None)
+    monkeypatch.setattr(ex, "detect", fake_detect)
+    cfg, pdf = ex.make_dataset("geolife", n_snapshots=4)
+    ex.run_detection_batch(spark, pdf, ex.params_for(cfg), "fba",
+                           shuffle_partitions=3, repeats=1)
+    assert seen == [{keys[0]: "3", keys[1]: "false"}]
+    assert {k: spark.conf.get(k) for k in keys} == before

@@ -40,6 +40,19 @@ def test_streaming_matches_batch(spark, enum_method):
     assert set(det.patterns) == set(_reference(pdf))
 
 
+@pytest.mark.parametrize("enum_method", ["fba", "vba"])
+def test_streaming_runs_without_spark(enum_method):
+    # Micro-batches are clustered in-process: with no Spark session at
+    # all the detector still yields the reference patterns.
+    pdf = _stream(seed=1)
+    recs = trajgen.with_last_time(pdf)
+    det = StreamingDetector(None, PARAMS, enum_method=enum_method,
+                            expected_oids=recs["oid"].unique())
+    feed_batches(det, recs, n_batches=5)
+    assert det.patterns
+    assert set(det.patterns) == set(_reference(pdf))
+
+
 @pytest.mark.parametrize("shuffle_seed", [7, 42])
 def test_streaming_out_of_order_delivery(spark, shuffle_seed):
     pdf = _stream(seed=2)
