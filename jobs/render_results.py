@@ -8,7 +8,9 @@ import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from repro.experiments import _fmt  # noqa: E402
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -32,30 +34,17 @@ TABLES = {
 }
 
 
-def fmt(v):
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        return "DNF" if v != v else f"{v:.2f}"
-    return str(v)
-
-
 def main() -> None:
     for name, cols in TABLES.items():
         path = os.path.join(RESULTS, f"{name}.json")
         if not os.path.exists(path):
             continue
         rows = json.load(open(path))
-        # JSON round-trips NaN as the string "nan" via default=str fallback.
-        for r in rows:
-            for k, v in r.items():
-                if v == "nan":
-                    r[k] = float("nan")
         print(f"\n### {name}\n")
         print("| " + " | ".join(cols) + " |")
         print("|" + "---|" * len(cols))
         for r in rows:
-            print("| " + " | ".join(fmt(r.get(c)) for c in cols) + " |")
+            print("| " + " | ".join(_fmt(r.get(c)) for c in cols) + " |")
 
 
 if __name__ == "__main__":

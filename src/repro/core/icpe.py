@@ -29,8 +29,8 @@ class ICPEResult:
 
 
 def detect(snapshots: DataFrame, params: CPParams, *,
-           cluster_method: str = "rjc", enum_method: str = "fba",
-           ba_max_partition: int = 20) -> ICPEResult:
+           cluster_method: str = "rjc",
+           enum_method: str = "fba") -> ICPEResult:
     """Run ICPE over a finite snapshot stream ``(t, oid, x, y)``.
 
     Raises ``BAExplodedError`` if BA's candidate budget is exceeded.
@@ -41,10 +41,8 @@ def detect(snapshots: DataFrame, params: CPParams, *,
     clusters.cache()
     try:
         parts = id_partitions(clusters, params.m)
-        pats = enumerate_patterns(
-            parts, params, method=enum_method, t_end=t_end,
-            ba_max_partition=ba_max_partition,
-        )
+        pats = enumerate_patterns(parts, params, method=enum_method,
+                                  t_end=t_end)
         patterns = collect_patterns(pats)
     finally:
         clusters.unpersist()

@@ -3,22 +3,29 @@
 SPARE's Apriori enumerator adapted to streams: for every start
 snapshot t it materializes *all* subsets of the partition P_t(o)
 (O(2^|P|) time and space) and verifies each against the next η
-snapshots using Lemmas 5 and 6. The exponential blow-up is the
-motivation for FBA/VBA; ``max_partition`` guards the inevitable
-explosion so benchmarks can report a DNF exactly like Fig 12's
-missing B bars.
+snapshots using Lemmas 5 and 6. ``ba_window`` is that check for one
+start t; ``EnumerationEngine`` runs it on FBA's η-window buffer. The
+exponential blow-up is the motivation for FBA/VBA; ``MAX_PARTITION``
+guards the inevitable explosion so benchmarks can report a DNF exactly
+like Fig 12's missing B bars.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import combinations
 
 from repro.params import CPParams
 
 Partitions = dict[int, frozenset[int]]  # t -> P_t(o) for one anchor o
 
+# Largest |P_t(o)| BA enumerates (2^14 candidate sets). The measured
+# max |P_t(o)| is 10 at taxi Or 40 % and 21 at 60 %, 12 at brinkhoff
+# Or 60 % and 15 at 80 %, so B DNFs from taxi 60 % / brinkhoff 80 %.
+MAX_PARTITION = 14
+
 
 class BAExplodedError(RuntimeError):
-    """Raised when 2^|P_t(o)| would exceed the configured budget."""
+    """Raised when |P_t(o)| exceeds ``MAX_PARTITION``."""
 
 
 def _last_segment_len(T: list[int]) -> int:
@@ -56,29 +63,30 @@ def _verify(O: frozenset[int], t: int, partitions: Partitions,
     return None
 
 
-def ba_enumerate(partitions: Partitions, params: CPParams, *,
-                 max_partition: int = 20) -> dict[frozenset[int], tuple[int, ...]]:
-    """All valid patterns of one subtask: {members (anchor excluded) → T}.
+def ba_window(partitions: Partitions, t: int, params: CPParams, *,
+              known: Callable[[frozenset[int]], bool]
+              ) -> dict[frozenset[int], tuple[int, ...]]:
+    """Valid patterns starting at t: {members (anchor excluded) → T}.
 
-    Enumerates every start time t; the same O found in several windows
-    is reported once with its first witness.
+    Every subset of P_t(o) of size ≥ M−1 is verified over [t, t+η),
+    except the sets ``known`` reports as already found in an earlier
+    window: BA reports each set once, with its first witness.
     """
+    P = sorted(partitions.get(t, ()))
+    if len(P) < params.m - 1:
+        return {}
+    if len(P) > MAX_PARTITION:
+        raise BAExplodedError(
+            f"|P_t(o)| = {len(P)} > {MAX_PARTITION}: 2^n candidate sets "
+            "would exhaust memory (the paper's Fig 12 DNF)"
+        )
     out: dict[frozenset[int], tuple[int, ...]] = {}
-    for t in sorted(partitions):
-        P = sorted(partitions[t])
-        if len(P) < params.m - 1:
-            continue
-        if len(P) > max_partition:
-            raise BAExplodedError(
-                f"|P_t(o)| = {len(P)} > {max_partition}: 2^n candidate sets "
-                "would exhaust memory (the paper's Fig 12 DNF)"
-            )
-        for r in range(params.m - 1, len(P) + 1):
-            for combo in combinations(P, r):
-                O = frozenset(combo)
-                if O in out:
-                    continue
-                T = _verify(O, t, partitions, params)
-                if T is not None:
-                    out[O] = tuple(T)
+    for r in range(params.m - 1, len(P) + 1):
+        for combo in combinations(P, r):
+            O = frozenset(combo)
+            if known(O):
+                continue
+            T = _verify(O, t, partitions, params)
+            if T is not None:
+                out[O] = tuple(T)
     return out

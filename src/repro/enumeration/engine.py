@@ -1,14 +1,16 @@
-"""Incremental enumeration engine: per-snapshot FBA/VBA over all anchors.
+"""Incremental enumeration engine: per-snapshot BA/FBA/VBA over all anchors.
 
-This is the only FBA/VBA driver. The Structured Streaming detector
+This is the only enumeration driver. The Structured Streaming detector
 steps it as snapshots are released; ``run_engine`` steps it over a
 finite set of partitions for the batch runner (one engine per bucket
 of anchors) and the Fig 15 enumeration benchmarks (where the paper
 omits clustering). It consumes one snapshot's id-based partitions at a
 time and maintains, per anchor (= Flink keyed state):
 
-- FBA: the sliding window of partitions; the η-window starting at
-  ``t−η+1`` is evaluated when snapshot ``t`` arrives, then forgotten;
+- BA/FBA: the sliding window of partitions; the η-window starting at
+  ``t−η+1`` is evaluated when snapshot ``t`` arrives, then forgotten
+  (BA verifies every subset of the window's first partition, FBA
+  enumerates bit-string candidates);
 - VBA: the episode state (hashmap H + candidate list C), advanced once
   per snapshot.
 
@@ -18,6 +20,7 @@ snapshots (report time − the time the pattern first became valid).
 from __future__ import annotations
 
 from repro.core import bitstring as bs
+from repro.enumeration.ba import ba_window
 from repro.enumeration.fba import fba_window
 from repro.enumeration.vba import VBAState, vba_flush, vba_step
 from repro.params import CPParams
@@ -25,30 +28,32 @@ from repro.params import CPParams
 PartsAtT = dict[int, frozenset[int]]  # anchor -> P_t(anchor)
 PartsByAnchor = dict[int, dict[int, frozenset[int]]]  # anchor -> t -> P_t
 
+METHODS = ("ba", "fba", "vba")
+
 
 class EnumerationEngine:
-    """Stateful per-snapshot pattern enumeration (FBA or VBA)."""
+    """Stateful per-snapshot pattern enumeration (BA, FBA or VBA)."""
 
     def __init__(self, params: CPParams, method: str = "fba") -> None:
-        if method not in ("fba", "vba"):
-            raise ValueError("incremental enumeration supports 'fba' or 'vba'")
+        if method not in METHODS:
+            raise ValueError(f"unknown enumeration method {method!r}; use {METHODS}")
         self.params = params
         self.method = method
         self.patterns: dict[frozenset[int], tuple[int, ...]] = {}
         self.delays: list[int] = []
-        self._fba_parts: dict[int, dict[int, frozenset[int]]] = {}
+        self._fba_parts: PartsByAnchor = {}  # BA/FBA η-window buffer
         self._vba: dict[int, VBAState] = {}
         self._processed_until = 0
 
     def step(self, t: int, parts_t: PartsAtT) -> None:
         """Consume snapshot t's partitions (call for every consecutive t)."""
-        if self.method == "fba":
+        if self.method != "vba":
             for anchor, members in parts_t.items():
                 if members:
                     self._fba_parts.setdefault(anchor, {})[t] = members
             t0 = t - self.params.eta + 1
             if t0 >= 1:
-                self._run_fba_windows(t0, t)
+                self._run_windows(t0, t)
         else:
             for anchor in set(self._vba) | set(parts_t):
                 state = self._vba.get(anchor)
@@ -64,25 +69,32 @@ class EnumerationEngine:
     def finish(self) -> None:
         """End of stream: evaluate the remaining truncated windows / flush."""
         t_end = self._processed_until
-        if self.method == "fba":
+        if self.method != "vba":
             for t0 in range(max(1, t_end - self.params.eta + 2), t_end + 1):
-                self._run_fba_windows(t0, t_end)
+                self._run_windows(t0, t_end)
         else:
             for anchor, state in self._vba.items():
                 self._report(anchor, vba_flush(state, self.params), t_end)
 
     # ------------------------------------------------------------ internal
 
-    def _run_fba_windows(self, t0: int, now: int) -> None:
+    def _run_windows(self, t0: int, now: int) -> None:
         for anchor, by_t in self._fba_parts.items():
             if not by_t.get(t0):
                 continue
-            pats: dict[frozenset[int], list] = {}
-            for O, bits in fba_window(by_t, t0, self.params).items():
-                seqs = bs.maximal_sequences(
-                    bits, self.params.k, self.params.l, self.params.g
+            if self.method == "ba":
+                found = ba_window(
+                    by_t, t0, self.params,
+                    known=lambda O: O | {anchor} in self.patterns,
                 )
-                pats[O] = [tuple(t0 + i for i in s) for s in seqs]
+                pats = {O: [T] for O, T in found.items()}
+            else:
+                pats = {}
+                for O, bits in fba_window(by_t, t0, self.params).items():
+                    seqs = bs.maximal_sequences(
+                        bits, self.params.k, self.params.l, self.params.g
+                    )
+                    pats[O] = [tuple(t0 + i for i in s) for s in seqs]
             self._report(anchor, pats, now)
         for by_t in self._fba_parts.values():
             for old in [t for t in by_t if t <= t0]:

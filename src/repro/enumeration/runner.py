@@ -3,10 +3,9 @@
 ``enumerate_patterns`` hashes the id-based partitions by anchor into at
 most ``spark.sql.shuffle.partitions`` buckets — Spark's analogue of
 ``keyBy(o.id)`` onto N subtasks, each holding many anchors — and runs
-BA/FBA/VBA inside ``mapInPandas``: FBA/VBA step one
-``EnumerationEngine`` over the bucket's anchors; BA, which has no
-incremental form, runs ``ba_enumerate`` per anchor. Results come back
-as JSON-encoded object/time lists (Arrow-friendly scalars) and are
+BA/FBA/VBA inside ``mapInPandas``: each bucket steps one
+``EnumerationEngine`` over its anchors. Results come back as
+JSON-encoded object/time lists (Arrow-friendly scalars) and are
 decoded by ``collect_patterns``.
 """
 from __future__ import annotations
@@ -16,23 +15,23 @@ import json
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.enumeration.ba import BAExplodedError, ba_enumerate
-from repro.enumeration.engine import run_engine
+from repro.enumeration.ba import BAExplodedError
+from repro.enumeration.engine import METHODS, run_engine
 from repro.params import CPParams
 
 PATTERNS_SCHEMA = "anchor long, objs string, times string"
-METHODS = ("ba", "fba", "vba")
 
 
 def enumerate_patterns(partitions: DataFrame, params: CPParams, *,
-                       method: str = "fba", t_end: int | None = None,
-                       ba_max_partition: int = 20) -> DataFrame:
+                       method: str = "fba",
+                       t_end: int | None = None) -> DataFrame:
     """Partitions ``(t, anchor, member)`` → patterns per subtask.
 
     Output rows: (anchor, objs, times) where ``objs`` is the JSON list
     of the full pattern (anchor included, sorted) and ``times`` the JSON
     witness time sequence. A bucket in which BA explodes returns one
-    row with ``objs`` null and the error message in ``times``.
+    row with ``anchor`` and ``objs`` null and the error message in
+    ``times``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown enumeration method {method!r}; use {METHODS}")
@@ -46,20 +45,12 @@ def enumerate_patterns(partitions: DataFrame, params: CPParams, *,
                 sets.setdefault(anchor, {}).setdefault(t, set()).add(member)
         parts = {a: {t: frozenset(s) for t, s in by_t.items()}
                  for a, by_t in sets.items()}
-        if method == "ba":
-            found = {}
-            try:
-                for anchor, by_t in parts.items():
-                    # BA's keys exclude the anchor.
-                    for O, T in ba_enumerate(
-                            by_t, params, max_partition=ba_max_partition).items():
-                        found[O | {anchor}] = T
-            except BAExplodedError as e:
-                yield pd.DataFrame({"anchor": [anchor], "objs": [None],
-                                    "times": [str(e)]})
-                return
-        else:
+        try:
             found = run_engine(parts, params, method, t_end=t_end).patterns
+        except BAExplodedError as e:
+            yield pd.DataFrame({"anchor": [None], "objs": [None],
+                                "times": [str(e)]})
+            return
         rows = [(min(O), json.dumps(sorted(O)), json.dumps(list(T)))
                 for O, T in found.items()]
         yield pd.DataFrame(rows, columns=["anchor", "objs", "times"])

@@ -115,6 +115,26 @@ def _emit(found, params) -> dict[frozenset[int], list[tuple[int, ...]]]:
     return pats
 
 
+def _enumerate_closed(state: VBAState, closed: list[Episode],
+                      params: CPParams
+                      ) -> dict[frozenset[int], list[tuple[int, ...]]]:
+    """Patterns of the episodes closed this round; each then joins C.
+
+    Episodes are taken in id order, so same-round closures see each
+    other (DESIGN.md).
+    """
+    out: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for ep in sorted(closed):
+        found = _enumerate_with(ep, state.c, params)
+        # The closed episode alone is a pattern {anchor, oid} when M <= 2.
+        if params.m <= 2:
+            found[(ep,)] = (ep[1], ep[2], ep[3])
+        for O, seqs in _emit(found, params).items():
+            out.setdefault(O, []).extend(seqs)
+        state.c.append(ep)
+    return out
+
+
 def vba_step(state: VBAState, t: int, members: frozenset[int],
              params: CPParams
              ) -> dict[frozenset[int], list[tuple[int, ...]]]:
@@ -145,15 +165,7 @@ def vba_step(state: VBAState, t: int, members: frozenset[int],
         if oid not in state.h:
             state.h[oid] = (t, 1)
 
-    out: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for ep in sorted(closed):
-        found = _enumerate_with(ep, state.c, params)
-        # The closed episode alone is a pattern {anchor, oid} when M <= 2.
-        if params.m <= 2:
-            found[(ep,)] = (ep[1], ep[2], ep[3])
-        for O, seqs in _emit(found, params).items():
-            out.setdefault(O, []).extend(seqs)
-        state.c.append(ep)
+    out = _enumerate_closed(state, closed, params)
     if state.h:
         # Every future closure starts at or after the earliest open st,
         # so a candidate ending before min_open + K − 1 can never
@@ -166,19 +178,11 @@ def vba_step(state: VBAState, t: int, members: frozenset[int],
 def vba_flush(state: VBAState, params: CPParams
               ) -> dict[frozenset[int], list[tuple[int, ...]]]:
     """End of stream: close every open episode and enumerate (finite runs)."""
-    out: dict[frozenset[int], list[tuple[int, ...]]] = {}
     closed = []
     for oid, (st, bits) in state.h.items():
         ep = _close(oid, st, bits, params)
         if ep is not None:
             closed.append(ep)
     state.h.clear()
-    for ep in sorted(closed):
-        found = _enumerate_with(ep, state.c, params)
-        if params.m <= 2:
-            found[(ep,)] = (ep[1], ep[2], ep[3])
-        for O, seqs in _emit(found, params).items():
-            out.setdefault(O, []).extend(seqs)
-        state.c.append(ep)
-    return out
+    return _enumerate_closed(state, closed, params)
 

@@ -32,7 +32,7 @@ from repro import trajgen
 from repro.cluster import cluster_stream
 from repro.core.icpe import detect
 from repro.core.reference import brute_clusters
-from repro.enumeration.ba import BAExplodedError, ba_enumerate
+from repro.enumeration.ba import BAExplodedError
 from repro.enumeration.engine import run_engine
 from repro.enumeration.partition import id_partitions_py
 from repro.params import CPParams, pct_of_extent
@@ -46,6 +46,11 @@ DATASETS = {
 }
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "results")
+
+# A run whose BA enumeration exploded: the paper's missing bar.
+_DNF = {"dnf": True, "latency_ms": float("nan"),
+        "throughput_tps": float("nan"), "delay_snap": float("nan"),
+        "n_patterns": 0}
 
 
 def make_dataset(name: str, *, or_ratio: float = 1.0,
@@ -121,14 +126,12 @@ def run_clustering(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
 
 def run_detection(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
                   params: CPParams, enum_method: str, *,
-                  n_batches: int = 8, ba_max_partition: int = 14,
-                  cluster_stats: bool = True) -> dict:
+                  n_batches: int = 8, cluster_stats: bool = True) -> dict:
     """Figs 12/13: full pattern detection (clustering + enumeration).
 
-    B (BA) runs through the batch path (its all-subsets state cannot be
-    windowed incrementally) and reports DNF when 2^|P| explodes, like
-    the missing B bars of Fig 12. F/V run through the streaming
-    detector, which yields per-snapshot latency and detection delay.
+    B/F/V all stream through the detector, which yields per-snapshot
+    latency and detection delay. B reports DNF when 2^|P| explodes,
+    like the missing B bars of Fig 12.
     """
     warm_up(spark)
     n = int(pdf["t"].nunique())
@@ -136,26 +139,15 @@ def run_detection(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
     if cluster_stats:
         out["avg_cluster_size"] = avg_cluster_size(
             brute_clusters(pdf, params.eps, params.min_pts))
-    if enum_method == "ba":
-        sdf = trajgen.to_spark(spark, pdf)
-        start = time.perf_counter()
-        try:
-            res = detect(sdf, params, enum_method="ba",
-                         ba_max_partition=ba_max_partition)
-        except BAExplodedError:
-            out.update(dnf=True, latency_ms=float("nan"),
-                       throughput_tps=float("nan"), delay_snap=float("nan"),
-                       n_patterns=0)
-            return out
-        wall = time.perf_counter() - start
-        out.update(latency_ms=1000.0 * wall / n, throughput_tps=n / wall,
-                   delay_snap=float("nan"), n_patterns=len(res.patterns))
-        return out
     recs = trajgen.with_last_time(pdf)
     det = StreamingDetector(spark, params, enum_method=enum_method,
                             expected_oids=recs["oid"].unique())
     start = time.perf_counter()
-    feed_batches(det, recs, n_batches=n_batches)
+    try:
+        feed_batches(det, recs, n_batches=n_batches)
+    except BAExplodedError:
+        out.update(_DNF)
+        return out
     wall = time.perf_counter() - start
     out.update(
         latency_ms=det.metrics.avg_latency_ms,
@@ -212,30 +204,17 @@ def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
 
 # ----------------------------------------------------------- enumeration
 
-def run_enumeration(pdf: pd.DataFrame, params: CPParams, method: str, *,
-                    ba_max_partition: int = 14) -> dict:
+def run_enumeration(pdf: pd.DataFrame, params: CPParams, method: str) -> dict:
     """Fig 15: enumeration phase only (clustering precomputed/omitted)."""
     clusters = brute_clusters(pdf, params.eps, params.min_pts)
     t_lo, t_hi = min(clusters), max(clusters)
     n = t_hi - t_lo + 1
     parts_all = id_partitions_py(clusters, params.m)
-    if method == "ba":
-        start = time.perf_counter()
-        try:
-            total = sum(
-                len(ba_enumerate(p, params, max_partition=ba_max_partition))
-                for p in parts_all.values()
-            )
-        except BAExplodedError:
-            return {"method": "ba", "dnf": True, "latency_ms": float("nan"),
-                    "throughput_tps": float("nan"),
-                    "delay_snap": float("nan"), "n_patterns": 0}
-        wall = time.perf_counter() - start
-        return {"method": "ba", "dnf": False, "latency_ms": 1000.0 * wall / n,
-                "throughput_tps": n / wall, "delay_snap": float("nan"),
-                "n_patterns": total}
     start = time.perf_counter()
-    engine = run_engine(parts_all, params, method, t_end=t_hi)
+    try:
+        engine = run_engine(parts_all, params, method, t_end=t_hi)
+    except BAExplodedError:
+        return {"method": method, **_DNF}
     wall = time.perf_counter() - start
     delays = engine.delays
     return {

@@ -16,7 +16,7 @@ The Flink job of Fig 3 maps onto Structured Streaming as follows:
   work on a taxi-rt release (DESIGN.md §4); the distributed
   ``cluster_stream`` stays the batch path;
 - **pattern enumeration** (Sec 6) advances one driver-side
-  ``EnumerationEngine``, which holds every anchor's state (FBA sliding
+  ``EnumerationEngine``, which holds every anchor's state (BA/FBA sliding
   η-windows or VBA episode state), snapshot by snapshot — the streaming
   analogue of Flink's keyed subtask state.
 
@@ -94,7 +94,7 @@ class StreamingDetector:
         self.params = params
         self.engine = EnumerationEngine(params, enum_method)
         self.buffer = SnapshotBuffer(expected_oids=expected_oids)
-        self.metrics = StreamMetrics()
+        self.metrics = StreamMetrics(detection_delays=self.engine.delays)
 
     @property
     def patterns(self) -> dict[frozenset[int], tuple[int, ...]]:
@@ -112,7 +112,6 @@ class StreamingDetector:
         """End of stream: flush the buffer and all enumeration state."""
         self._drain(self.buffer.flush_all())
         self.engine.finish()
-        self.metrics.detection_delays = self.engine.delays
 
     # ------------------------------------------------------------ internal
 
@@ -129,7 +128,6 @@ class StreamingDetector:
             )
             self.engine.step(t, {a: d[t] for a, d in parts.items()})
             self.metrics.snapshot_seconds.append(time.perf_counter() - start)
-        self.metrics.detection_delays = self.engine.delays
 
     def _cluster(self, released) -> dict[int, dict[int, int]]:
         """Cluster all released snapshots in one in-process call."""

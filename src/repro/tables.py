@@ -78,16 +78,15 @@ def sweep_t11_clustering_lg(spark: SparkSession, *, quick: bool = False,
 
 def sweep_t12_detection_or(spark: SparkSession, *, quick: bool = False,
                            datasets=None) -> list[dict]:
-    """Pattern detection vs Or — B (batch, DNFs at scale) vs F vs V,
-    plus the average cluster size curve."""
+    """Pattern detection vs Or — B (DNFs at scale) vs F vs V, plus the
+    average cluster size curve."""
     rows = []
     for name in datasets or DETECT_DATASETS:
         for or_ratio in _trim(OR_SWEEP, quick):
             cfg, pdf = ex.make_dataset(name, or_ratio=or_ratio)
             params = ex.params_for(cfg)
             for method in ("ba", "fba", "vba"):
-                r = ex.run_detection(spark, pdf, cfg, params, method,
-                                     ba_max_partition=14)
+                r = ex.run_detection(spark, pdf, cfg, params, method)
                 rows.append({"dataset": name, "or_pct": int(or_ratio * 100),
                              **r})
     return rows

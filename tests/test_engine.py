@@ -73,11 +73,6 @@ def test_engine_vba_state_bounded(monkeypatch):
     assert set(engine.patterns) == set(reference_patterns(clusters, PARAMS))
 
 
-def test_engine_rejects_ba():
-    with pytest.raises(ValueError):
-        EnumerationEngine(PARAMS, "ba")
-
-
 def test_engine_empty_stream():
     engine = EnumerationEngine(PARAMS, "vba")
     for t in range(1, 6):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import bitstring as bs
 from repro.core.reference import reference_patterns
-from repro.enumeration.ba import BAExplodedError, ba_enumerate
+from repro.enumeration import ba
 from repro.enumeration.engine import run_engine
 from repro.enumeration.fba import window_bits
 from repro.enumeration.partition import id_partitions_py
@@ -35,13 +35,7 @@ def _random_clusters(n_obj, n_t, n_clusters, p_member, seed):
 def _mine(clusters, params, algo):
     """Run one subtask algorithm over all anchors; {O incl anchor → T}."""
     parts = id_partitions_py(clusters, params.m)
-    if algo != "ba":
-        return run_engine(parts, params, algo, t_end=max(clusters)).patterns
-    out = {}
-    for anchor, p in parts.items():
-        for O, T in ba_enumerate(p, params).items():
-            out[frozenset(O | {anchor})] = T
-    return out
+    return run_engine(parts, params, algo, t_end=max(clusters)).patterns
 
 
 def _subtask(anchor, partitions, params, algo, t_end=None):
@@ -149,7 +143,7 @@ def _fig7_partitions_o4():
 
 
 @pytest.mark.parametrize("algo_fn", [
-    lambda p, prm: ba_enumerate(p, prm),
+    lambda p, prm: _subtask(4, p, prm, "ba"),
     lambda p, prm: _subtask(4, p, prm, "fba"),
     lambda p, prm: _subtask(4, p, prm, "vba", t_end=8),
 ])
@@ -183,8 +177,8 @@ def test_fig8_window_bits():
 def test_ba_explodes_on_large_partition():
     params = CPParams(m=2, k=2, l=1, g=1, eps=1, min_pts=2, lg=1)
     parts = {1: frozenset(range(100, 125))}
-    with pytest.raises(BAExplodedError):
-        ba_enumerate(parts, params, max_partition=20)
+    with pytest.raises(ba.BAExplodedError):
+        _subtask(1, parts, params, "ba")
 
 
 def test_ba_lemma5_example():
@@ -195,7 +189,7 @@ def test_ba_lemma5_example():
     params = CPParams(m=2, k=4, l=2, g=2, eps=1, min_pts=2, lg=1)
     parts = {1: frozenset({2}), 2: frozenset({2}), 5: frozenset({2}),
              6: frozenset({2}), 7: frozenset({2}), 8: frozenset({2})}
-    found = ba_enumerate(parts, params)
+    found = _subtask(1, parts, params, "ba")
     assert found == {frozenset({2}): (5, 6, 7, 8)}
 
 
@@ -205,7 +199,24 @@ def test_ba_lemma6_example():
     params = CPParams(m=2, k=4, l=2, g=2, eps=1, min_pts=2, lg=1)
     parts = {1: frozenset({4}), 2: frozenset({4}), 3: frozenset({4}),
              6: frozenset({4})}
-    assert ba_enumerate(parts, params) == {}
+    assert _subtask(1, parts, params, "ba") == {}
+
+
+def test_ba_keeps_first_witness_and_skips_found_sets(monkeypatch):
+    # {o2} is valid from every start 1..5; BA verifies it once, in the
+    # first window, and keeps that window's witness.
+    params = CPParams(m=2, k=4, l=2, g=2, eps=1, min_pts=2, lg=1)
+    parts = {t: frozenset({2}) for t in range(1, 9)}
+    calls = []
+    verify = ba._verify
+
+    def counting(O, t, *args):
+        calls.append(t)
+        return verify(O, t, *args)
+
+    monkeypatch.setattr(ba, "_verify", counting)
+    assert _subtask(1, parts, params, "ba") == {frozenset({2}): (1, 2, 3, 4)}
+    assert calls == [1]
 
 
 # ---------------------------------------------------------- VBA specifics

@@ -45,7 +45,7 @@ def test_run_enumeration_metrics_and_shape():
 def test_run_enumeration_ba_dnf():
     cfg, pdf = ex.make_dataset("taxi")
     params = ex.params_for(cfg)
-    r = ex.run_enumeration(pdf, params, "ba", ba_max_partition=5)
+    r = ex.run_enumeration(pdf, params, "ba")
     assert r["dnf"] and math.isnan(r["latency_ms"])
 
 

@@ -12,6 +12,7 @@ from repro.enumeration.partition import id_partitions_py
 from repro.enumeration.runner import collect_patterns, enumerate_patterns
 from repro.experiments import run_detection
 from repro.params import CPParams
+from repro.stream.pipeline import StreamingDetector, feed_batches
 from repro.trajgen import TrajConfig
 
 PARAMS = CPParams(m=3, k=4, l=2, g=2, eps=9.0, min_pts=3, lg=45.0)
@@ -33,7 +34,7 @@ def _reference(pdf, params):
 def test_detect_matches_reference(spark, enum_method):
     pdf = _small_stream(seed=3)
     res = detect(trajgen.to_spark(spark, pdf), PARAMS,
-                 enum_method=enum_method, ba_max_partition=22)
+                 enum_method=enum_method)
     ref = _reference(pdf, PARAMS)
     assert set(res.patterns) == set(ref)
     if enum_method != "ba":
@@ -84,8 +85,7 @@ def _detect_with_conf(spark, sdf, enum_method, conf):
     for k, v in conf.items():
         spark.conf.set(k, v)
     try:
-        return detect(sdf, PARAMS, enum_method=enum_method,
-                      ba_max_partition=22)
+        return detect(sdf, PARAMS, enum_method=enum_method)
     finally:
         for k, v in old.items():
             spark.conf.set(k, v)
@@ -110,13 +110,19 @@ def test_runner_bucket_count_invariant(spark, enum_method):
 
 
 def test_detect_ba_explosion_raises_typed_error(spark):
-    pdf = _small_stream(seed=3)
+    # Two fully cohesive groups of 20: |P_t(o)| reaches 19 > MAX_PARTITION.
+    cfg = TrajConfig(n_objects=40, n_snapshots=6, n_groups=2,
+                     grouped_frac=1.0, churn=0, dropout=0, cohesion=2.0,
+                     seed=11)
+    pdf = trajgen.generate(cfg)
     with pytest.raises(BAExplodedError):
-        detect(trajgen.to_spark(spark, pdf), PARAMS, enum_method="ba",
-               ba_max_partition=2)
-    cfg = TrajConfig(n_objects=36, n_snapshots=12)
-    r = run_detection(spark, pdf, cfg, PARAMS, "ba", ba_max_partition=2,
-                      cluster_stats=False)
+        detect(trajgen.to_spark(spark, pdf), PARAMS, enum_method="ba")
+    recs = trajgen.with_last_time(pdf)
+    det = StreamingDetector(None, PARAMS, enum_method="ba",
+                            expected_oids=recs["oid"].unique())
+    with pytest.raises(BAExplodedError):
+        feed_batches(det, recs, n_batches=2)
+    r = run_detection(spark, pdf, cfg, PARAMS, "ba", cluster_stats=False)
     assert r["dnf"] and r["n_patterns"] == 0
 
 

@@ -105,6 +105,14 @@ def test_structured_streaming_query(spark, tmp_path):
     assert set(det.patterns) == set(_reference(pdf))
 
 
-def test_streaming_rejects_ba():
-    with pytest.raises(ValueError):
-        StreamingDetector(None, PARAMS, enum_method="ba")
+@pytest.mark.parametrize("shuffle_seed", [7, 42])
+def test_streaming_ba_out_of_order_matches_reference(shuffle_seed):
+    # BA runs in the engine's η-windows like FBA, so it streams too.
+    pdf = _stream(seed=2)
+    recs = trajgen.with_last_time(pdf)
+    det = StreamingDetector(None, PARAMS, enum_method="ba",
+                            expected_oids=recs["oid"].unique())
+    feed_batches(det, recs, n_batches=6, shuffle_seed=shuffle_seed)
+    assert det.patterns
+    assert set(det.patterns) == set(_reference(pdf))
+    assert len(det.metrics.detection_delays) == len(det.patterns)
