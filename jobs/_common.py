@@ -5,7 +5,11 @@ Each ``jobs/table_*.py`` is runnable standalone::
     spark-submit jobs/table_t10_clustering_eps.py [--quick]
 
 or plainly with ``python`` (a local SparkSession is created either
-way, configured like the test fixture in conftest.py).
+way, configured like the test fixture in conftest.py). Importing this
+module puts ``src`` on ``sys.path`` and on ``PYTHONPATH`` (which the
+Spark session's Python workers inherit), so ``repro`` imports without
+an install; the repository root stays on ``sys.path`` for
+``jobs._common`` itself.
 """
 from __future__ import annotations
 
@@ -15,7 +19,11 @@ import sys
 
 from pyspark.sql import SparkSession
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path[:0] = [SRC, ROOT]
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def get_spark(app: str) -> SparkSession:

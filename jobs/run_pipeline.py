@@ -9,12 +9,9 @@ GR-index range-join clustering, and incremental VBA enumeration).
 """
 import argparse
 import os
-import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-
-from _common import get_spark  # noqa: E402
+from _common import get_spark
 
 
 def main() -> None:

@@ -1,11 +1,12 @@
 """RJC: the GR-index based range join of Sec 5.2 (Algorithms 1 + 2).
 
 Pipeline (Fig 5): GridAllocate (grid.py, pure Catalyst) → GridQuery
-(per-cell applyInPandas: a sorted-x window over the cell's data
+(``per_cell``: the GridObjects hashed by cell into buckets, one Python
+call per bucket that runs a sorted-x window over each cell's data
 objects, forward-only among data objects for Lemma 2, upper-half
-probes for query objects) → GridSync (symmetrize). Each unordered pair
-is emitted exactly once by GridQuery — RJC needs no dedup shuffle,
-which is precisely its edge over SRJ.
+probes for query objects) → GridSync (symmetrize, one Catalyst
+projection). Each unordered pair is emitted exactly once by GridQuery —
+RJC needs no dedup shuffle, which is precisely its edge over SRJ.
 
 Distances are L1 (Sec 3.3): the inclusive square ``[x±ϵ]×[y±ϵ]`` is
 the candidate region, the exact |dx|+|dy| ≤ ϵ check happens at
@@ -112,25 +113,48 @@ def _grid_query_cell(pdf: pd.DataFrame, eps: float) -> pd.DataFrame:
     return pd.DataFrame({"t": t[a], "a": oid[a], "b": oid[b]}, dtype="int64")
 
 
+def per_cell(gobj: DataFrame, kernel) -> DataFrame:
+    """Run ``kernel(cell) → (t, a, b)`` on every grid cell of ``gobj``.
+
+    The GridObjects are hashed by cell ``(kx, ky)`` into buckets (at
+    most ``spark.sql.shuffle.partitions``, coalesced by AQE), and each
+    bucket is one Python call that splits its rows by cell with a pandas
+    ``groupby``: a keyed subtask per cell, as in Flink, without Spark's
+    per-group Arrow round-trip. An empty bucket yields no frame.
+    """
+    def fn(batches):
+        pdfs = [pdf for pdf in batches if len(pdf)]
+        if not pdfs:
+            return
+        bucket = pd.concat(pdfs, ignore_index=True)
+        yield pd.concat([kernel(cell) for _, cell in
+                         bucket.groupby(["kx", "ky"], sort=False)],
+                        ignore_index=True)
+
+    return gobj.repartition("kx", "ky").mapInPandas(fn, schema=PAIRS_SCHEMA)
+
+
 def rjc_pairs(snapshots: DataFrame, *, eps: float, lg: float) -> DataFrame:
     """Range join RJ(S_t, ϵ) for every snapshot — each unordered pair once.
 
     Input ``(t, oid, x, y)``; output ``(t, a, b)`` with a ≠ b,
     d_L1 ≤ ϵ, and {a,b} unique per t (in arbitrary orientation).
+    GridAllocate with Lemma 1's upper half, then ``_grid_query_cell``
+    on every cell through ``per_cell``.
     """
     gobj = allocate(snapshots, lg=lg, eps=eps, upper_half=True)
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _grid_query_cell(pdf, eps)
-
-    return gobj.groupBy("kx", "ky").applyInPandas(fn, schema=PAIRS_SCHEMA)
+    return per_cell(gobj, lambda cell: _grid_query_cell(cell, eps))
 
 
 def grid_sync(pairs: DataFrame) -> DataFrame:
-    """GridSync: symmetrize to the neighbor stream (both orientations)."""
-    return pairs.select("t", "a", "b").unionByName(
-        pairs.select("t", F.col("b").alias("a"), F.col("a").alias("b"))
-    )
+    """GridSync: symmetrize to the neighbor stream (both orientations).
+
+    One projection: every pair becomes the two rows ``(a, b)`` and
+    ``(b, a)``, so the pairs' plan (GridQuery) runs once.
+    """
+    return pairs.select("t", F.inline(F.array(
+        F.struct("a", "b"),
+        F.struct(F.col("b").alias("a"), F.col("a").alias("b")))))
 
 
 def canonical(pairs: DataFrame) -> DataFrame:

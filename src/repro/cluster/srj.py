@@ -16,7 +16,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.cluster.grid import allocate
-from repro.cluster.rangejoin import (PAIRS_SCHEMA, _sorted_cell, canonical,
+from repro.cluster.rangejoin import (_sorted_cell, canonical, per_cell,
                                      window_join)
 
 
@@ -31,11 +31,12 @@ def _cell_join(pdf: pd.DataFrame, eps: float) -> pd.DataFrame:
 
 
 def srj_pairs(snapshots: DataFrame, *, eps: float, lg: float) -> DataFrame:
-    """Full-replication range join; canonical deduped pairs ``(t, a<b)``."""
+    """Full-replication range join; canonical deduped pairs ``(t, a<b)``.
+
+    GridAllocate over the full square, ``_cell_join`` on every cell
+    through ``per_cell`` (the same dispatch as RJC), then the global
+    distinct.
+    """
     gobj = allocate(snapshots, lg=lg, eps=eps, upper_half=False)
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _cell_join(pdf, eps)
-
-    raw = gobj.groupBy("kx", "ky").applyInPandas(fn, schema=PAIRS_SCHEMA)
+    raw = per_cell(gobj, lambda cell: _cell_join(cell, eps))
     return canonical(raw).distinct()

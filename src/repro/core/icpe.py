@@ -3,9 +3,12 @@
 Chains the two phases over a finite stream of snapshots:
 indexed clustering (RJC/SRJ/GDC + DBSCAN) → id-based partitioning →
 pattern enumeration (BA/FBA/VBA, one subtask per anchor bucket). The
+three phases are one lazy plan, collected once: the clusters frame
+feeds only the partitioning, so nothing is cached and every clustering
+stage (GridAllocate, GridQuery, GridSync, DBSCAN) runs once. The
 per-snapshot incremental path used for latency measurements and true
-streaming lives in
-``repro.stream.pipeline``; both paths share all phase implementations.
+streaming lives in ``repro.stream.pipeline``; both paths share all
+phase implementations.
 """
 from __future__ import annotations
 
@@ -38,12 +41,7 @@ def detect(snapshots: DataFrame, params: CPParams, *,
     t_end, n_snapshots = snapshots.agg(F.max("t"),
                                        F.countDistinct("t")).collect()[0]
     clusters = cluster_stream(snapshots, params, cluster_method)
-    clusters.cache()
-    try:
-        parts = id_partitions(clusters, params.m)
-        pats = enumerate_patterns(parts, params, method=enum_method,
-                                  t_end=t_end)
-        patterns = collect_patterns(pats)
-    finally:
-        clusters.unpersist()
+    parts = id_partitions(clusters, params.m)
+    pats = enumerate_patterns(parts, params, method=enum_method, t_end=t_end)
+    patterns = collect_patterns(pats)
     return ICPEResult(patterns=patterns, n_snapshots=n_snapshots)

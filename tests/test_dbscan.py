@@ -1,5 +1,7 @@
 """DBSCAN correctness: Spark pipeline vs brute-force reference, plus
 oracle checks for the SQL-expressible pieces (core points)."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -123,6 +125,29 @@ def test_cluster_stream_dense_groups(spark):
     assert _clusters_as_sets(got) == _ref_as_sets(
         brute_clusters(pdf, params.eps, params.min_pts)
     )
+
+
+def _executed_nodes(df):
+    """Operator names of ``df``'s executed physical plan (after AQE)."""
+    plan = df._jdf.queryExecution().executedPlan()
+    if plan.getClass().getSimpleName() == "AdaptiveSparkPlanExec":
+        plan = plan.executedPlan()
+    return [re.match(r"[\s:+|-]*(?:\*\(\d+\) )?(\w+)", line).group(1)
+            for line in plan.toString().splitlines() if line.strip()]
+
+
+def test_cluster_stream_runs_gridquery_once(spark):
+    # GridSync symmetrizes in one projection, so the GridQuery kernel is
+    # one Python node of the plan (one call per cell bucket), not one per
+    # orientation of the pairs.
+    pdf = trajgen.generate(TrajConfig(n_objects=90, n_snapshots=4, seed=13))
+    df = cluster_stream(trajgen.to_spark(spark, pdf),
+                        CPParams(eps=10.0, lg=50.0, min_pts=4))
+    df.collect()
+    nodes = _executed_nodes(df)
+    assert nodes.count("MapInPandas") == 1
+    assert "FlatMapGroupsInPandas" not in nodes
+    assert nodes.count("FlatMapCoGroupsInPandas") == 1  # DBSCAN
 
 
 def test_core_points_match_oracle(spark):

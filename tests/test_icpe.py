@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro import trajgen
+from repro.core import icpe
 from repro.core.icpe import detect
 from repro.core.reference import brute_clusters, reference_patterns
 from repro.enumeration.ba import BAExplodedError
@@ -78,6 +79,26 @@ def test_detect_empty_when_no_density(spark):
     params = CPParams(m=3, k=4, l=2, g=2, eps=0.5, min_pts=5, lg=10.0)
     res = detect(trajgen.to_spark(spark, pdf), params)
     assert res.patterns == {}
+
+
+def test_detect_caches_nothing(spark, monkeypatch):
+    # The clusters frame feeds only the partitioning, so detect runs it as
+    # part of one plan instead of caching it (a cache keeps AQE from
+    # coalescing the clustering stage's tasks).
+    cache = spark._jsparkSession.sharedState().cacheManager()
+    assert cache.isEmpty()
+    seen, real = [], icpe.id_partitions
+
+    def id_partitions(clusters, m):
+        seen.append(cache.isEmpty())
+        return real(clusters, m)
+
+    monkeypatch.setattr(icpe, "id_partitions", id_partitions)
+    res = detect(trajgen.to_spark(spark, _small_stream(seed=3)), PARAMS)
+    assert res.patterns
+    assert seen == [True]
+    assert cache.isEmpty()
+    assert spark.sparkContext._jsc.getPersistentRDDs().isEmpty()
 
 
 def _detect_with_conf(spark, sdf, enum_method, conf):

@@ -153,6 +153,44 @@ def test_grid_sync_symmetric(spark):
     assert len(s) == 2 * len(_expected(pdf, EPS))
 
 
+# ------------------------------------------------- per-cell dispatch
+
+def _pairs_with_conf(spark, pairs, conf):
+    old = {k: spark.conf.get(k) for k in conf}
+    for k, v in conf.items():
+        spark.conf.set(k, v)
+    try:
+        return _got(pairs)
+    finally:
+        for k, v in old.items():
+            spark.conf.set(k, v)
+
+
+@pytest.mark.parametrize("data", ["cloud", "one_cell", "empty"])
+@pytest.mark.parametrize("method", ["rjc", "srj", "gdc"])
+def test_per_cell_bucket_count_invariant(spark, method, data):
+    # spark.sql.shuffle.partitions bounds the cell buckets per_cell hashes
+    # the GridObjects into; 1 puts every cell into one Python call. With 8
+    # uncoalesced buckets and few cells some buckets are empty, and with
+    # no snapshots all of them are. The pairs must not depend on it.
+    shuffle = "spark.sql.shuffle.partitions"
+    coalesce = "spark.sql.adaptive.coalescePartitions.enabled"
+    before = {k: spark.conf.get(k) for k in (shuffle, coalesce)}
+    pdf = {"cloud": _cloud(n=150, n_t=3, seed=29),
+           "one_cell": _points([(11.0, 11.0), (12.0, 13.0), (14.0, 12.0)]),
+           "empty": _points([(0.0, 0.0)]).iloc[:0]}[data]
+    df = spark.createDataFrame(pdf[["oid", "t", "x", "y"]],
+                               schema="oid long, t long, x double, y double")
+    fn = {"rjc": rjc_pairs, "srj": srj_pairs, "gdc": gdc_pairs}[method]
+    kw = {"eps": EPS} if method == "gdc" else {"eps": EPS, "lg": LG}
+    spread = _pairs_with_conf(spark, fn(df, **kw),
+                              {shuffle: "8", coalesce: "false"})
+    single = _pairs_with_conf(spark, fn(df, **kw), {shuffle: "1"})
+    assert spread == single == _expected(pdf, EPS)
+    assert (len(spread) > 0) == (data != "empty")
+    assert {k: spark.conf.get(k) for k in before} == before
+
+
 def test_trajectory_data_end_to_end_pairs(spark):
     cfg = TrajConfig(n_objects=80, n_snapshots=5, seed=31)
     pdf = trajgen.generate(cfg)
