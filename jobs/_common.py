@@ -30,7 +30,9 @@ def get_spark(app: str) -> SparkSession:
     """Local SparkSession for the table jobs and the pytest fixture.
 
     Broadcast joins are disabled so the shuffle/join algorithms under
-    study actually exercise the shuffle path at this data size.
+    study actually exercise the shuffle path at this data size. The
+    Python workers fork from ``repro.worker_daemon``, whose workers do
+    not re-read their zip archives' directories before every task.
     """
     return (
         SparkSession.builder.appName(app)
@@ -41,6 +43,7 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        .config("spark.python.daemon.module", "repro.worker_daemon")
         .getOrCreate()
     )
 

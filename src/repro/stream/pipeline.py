@@ -12,8 +12,8 @@ The Flink job of Fig 3 maps onto Structured Streaming as follows:
 - **indexed clustering** (Sec 5) runs in the driver process: all
   snapshots released by the batch are clustered in one
   ``cluster_local`` call (the RJC window kernel + DBSCAN). A Spark job
-  per micro-batch costs ~2 s of fixed job overhead against ~0.01 s of
-  work on a taxi-rt release (DESIGN.md §4); the distributed
+  per micro-batch costs ~1.4 s of fixed job overhead against ~0.015 s
+  of work on a taxi-rt release (DESIGN.md §4); the distributed
   ``cluster_stream`` stays the batch path;
 - **pattern enumeration** (Sec 6) advances one driver-side
   ``EnumerationEngine``, which holds every anchor's state (BA/FBA sliding
