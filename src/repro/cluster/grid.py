@@ -14,22 +14,28 @@ y ∈ [⌊y/lg⌋, ⌊(y+ϵ)/lg⌋]. For the SRJ baseline the full square is
 used (y from ⌊(y−ϵ)/lg⌋), which finds every pair twice and forces a
 global dedup later.
 
-Everything here is pure Catalyst (sequence + explode), so allocation
-runs as generated code with no Python round-trip.
+Both key ranges contain the home key, so one pass over the probed
+square yields every GridObject of a location: the data object is the
+square's home cell. Allocation is a single Catalyst generator
+(``inline`` over that square): one scan of the input, no union and no
+Python round-trip.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 GRIDOBJ_SCHEMA_COLS = ["t", "kx", "ky", "flag", "oid", "x", "y"]
 
 
+def _key(coord: Column, lg: float) -> Column:
+    return F.floor(coord / F.lit(lg))
+
+
 def with_home_key(df: DataFrame, lg: float) -> DataFrame:
     """Add home-cell key columns kx, ky (Sec 5.1 key computation)."""
-    return df.withColumn("kx", F.floor(F.col("x") / F.lit(lg))).withColumn(
-        "ky", F.floor(F.col("y") / F.lit(lg))
-    )
+    return df.withColumn("kx", _key(F.col("x"), lg)).withColumn(
+        "ky", _key(F.col("y"), lg))
 
 
 def allocate(snapshots: DataFrame, *, lg: float, eps: float,
@@ -40,37 +46,14 @@ def allocate(snapshots: DataFrame, *, lg: float, eps: float,
     square. Output columns: t, kx, ky, flag, oid, x, y — one data object
     per location plus its query-object replicas (home cell excluded).
     """
-    home = with_home_key(snapshots, lg)
-    data = home.select(
-        "t", "kx", "ky", F.lit(False).alias("flag"), "oid", "x", "y"
-    )
-    y_lo = (F.col("y") - F.lit(eps)) if not upper_half else F.col("y")
-    queries = (
-        home.withColumn(
-            "qkx",
-            F.explode(
-                F.sequence(
-                    F.floor((F.col("x") - F.lit(eps)) / F.lit(lg)),
-                    F.floor((F.col("x") + F.lit(eps)) / F.lit(lg)),
-                )
-            ),
-        )
-        .withColumn(
-            "qky",
-            F.explode(
-                F.sequence(
-                    F.floor(y_lo / F.lit(lg)),
-                    F.floor((F.col("y") + F.lit(eps)) / F.lit(lg)),
-                )
-            ),
-        )
-        .where(~((F.col("qkx") == F.col("kx")) & (F.col("qky") == F.col("ky"))))
-        .select(
-            "t",
-            F.col("qkx").alias("kx"),
-            F.col("qky").alias("ky"),
-            F.lit(True).alias("flag"),
-            "oid", "x", "y",
-        )
-    )
-    return data.unionByName(queries)
+    x, y, e = F.col("x"), F.col("y"), F.lit(eps)
+    home_kx, home_ky = _key(x, lg), _key(y, lg)
+    y_lo = y if upper_half else y - e
+    cells = F.flatten(F.transform(
+        F.sequence(_key(x - e, lg), _key(x + e, lg)),
+        lambda i: F.transform(
+            F.sequence(_key(y_lo, lg), _key(y + e, lg)),
+            lambda j: F.struct(
+                i.alias("kx"), j.alias("ky"),
+                (~((i == home_kx) & (j == home_ky))).alias("flag")))))
+    return snapshots.select("t", F.inline(cells), "oid", "x", "y")

@@ -3,9 +3,11 @@
 Chains the two phases over a finite stream of snapshots:
 indexed clustering (RJC/SRJ/GDC + DBSCAN) → id-based partitioning →
 pattern enumeration (BA/FBA/VBA, one subtask per anchor bucket). The
-three phases are one lazy plan, collected once: the clusters frame
-feeds only the partitioning, so nothing is cached and every clustering
-stage (GridAllocate, GridQuery, GridSync, DBSCAN) runs once. The
+three phases are one lazy plan, collected once, and no other job runs:
+the clusters frame feeds only the partitioning, so nothing is cached
+and every clustering stage (GridAllocate, GridQuery, GridSync, DBSCAN)
+runs once; each enumeration subtask ends its stream as online (VBA by
+G+1 silent snapshots), so no job measures the stream's end first. The
 per-snapshot incremental path used for latency measurements and true
 streaming lives in ``repro.stream.pipeline``; both paths share all
 phase implementations.
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.cluster import cluster_stream
 from repro.enumeration.partition import id_partitions
@@ -25,10 +26,9 @@ from repro.params import CPParams
 
 @dataclass(frozen=True)
 class ICPEResult:
-    """Patterns (object set → witness times) and the stream length."""
+    """Patterns: object set → witness times."""
 
     patterns: dict[frozenset[int], tuple[int, ...]]
-    n_snapshots: int
 
 
 def detect(snapshots: DataFrame, params: CPParams, *,
@@ -38,10 +38,7 @@ def detect(snapshots: DataFrame, params: CPParams, *,
 
     Raises ``BAExplodedError`` if BA's candidate budget is exceeded.
     """
-    t_end, n_snapshots = snapshots.agg(F.max("t"),
-                                       F.countDistinct("t")).collect()[0]
     clusters = cluster_stream(snapshots, params, cluster_method)
     parts = id_partitions(clusters, params.m)
-    pats = enumerate_patterns(parts, params, method=enum_method, t_end=t_end)
-    patterns = collect_patterns(pats)
-    return ICPEResult(patterns=patterns, n_snapshots=n_snapshots)
+    pats = enumerate_patterns(parts, params, method=enum_method)
+    return ICPEResult(patterns=collect_patterns(pats))

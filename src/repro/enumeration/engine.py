@@ -12,7 +12,10 @@ time and maintains, per anchor (= Flink keyed state):
   (BA verifies every subset of the window's first partition, FBA
   enumerates bit-string candidates);
 - VBA: the episode state (hashmap H + candidate list C), advanced once
-  per snapshot.
+  per snapshot. At the end of the stream ``finish`` steps G+1 silent
+  snapshots, which closes every open episode (Lemma 7) just as the
+  online stream would, so a VBA result never depends on where the
+  stream was cut or on how anchors are bucketed (DESIGN.md).
 
 Metric: per first report of a pattern, the *detection delay* in
 snapshots (report time − the time the pattern first became valid).
@@ -22,7 +25,7 @@ from __future__ import annotations
 from repro.core import bitstring as bs
 from repro.enumeration.ba import ba_window
 from repro.enumeration.fba import fba_window
-from repro.enumeration.vba import VBAState, vba_flush, vba_step
+from repro.enumeration.vba import VBAState, vba_step
 from repro.params import CPParams
 
 PartsAtT = dict[int, frozenset[int]]  # anchor -> P_t(anchor)
@@ -55,28 +58,36 @@ class EnumerationEngine:
             if t0 >= 1:
                 self._run_windows(t0, t)
         else:
-            for anchor in set(self._vba) | set(parts_t):
-                state = self._vba.get(anchor)
-                members = parts_t.get(anchor, frozenset())
-                if state is None:
-                    if not members:
-                        continue
-                    state = self._vba[anchor] = VBAState()
-                    state.t_prev = t - 1  # episode begins at first sighting
-                self._report(anchor, vba_step(state, t, members, self.params), t)
+            self._vba_step(t, parts_t, t)
         self._processed_until = t
 
     def finish(self) -> None:
-        """End of stream: evaluate the remaining truncated windows / flush."""
+        """End of stream; its reports count delays at the last snapshot.
+
+        BA/FBA evaluate the remaining truncated windows. VBA steps G+1
+        silent snapshots, each reported on its own as online; the last
+        one closes every open episode (Lemma 7).
+        """
         t_end = self._processed_until
         if self.method != "vba":
             for t0 in range(max(1, t_end - self.params.eta + 2), t_end + 1):
                 self._run_windows(t0, t_end)
         else:
-            for anchor, state in self._vba.items():
-                self._report(anchor, vba_flush(state, self.params), t_end)
+            for t in range(t_end + 1, t_end + self.params.g + 2):
+                self._vba_step(t, {}, t_end)
 
     # ------------------------------------------------------------ internal
+
+    def _vba_step(self, t: int, parts_t: PartsAtT, now: int) -> None:
+        for anchor in set(self._vba) | set(parts_t):
+            state = self._vba.get(anchor)
+            members = parts_t.get(anchor, frozenset())
+            if state is None:
+                if not members:
+                    continue
+                state = self._vba[anchor] = VBAState()
+                state.t_prev = t - 1  # episode begins at first sighting
+            self._report(anchor, vba_step(state, t, members, self.params), now)
 
     def _run_windows(self, t0: int, now: int) -> None:
         for anchor, by_t in self._fba_parts.items():
@@ -125,8 +136,11 @@ def run_engine(partitions: PartsByAnchor, params: CPParams,
 
     Steps one engine through every consecutive t from the first
     partition's t to ``max(last t, t_end)``, then calls ``finish()``.
-    ``t_end`` extends the stream past the last partition (the end of the
-    snapshot stream), so VBA episodes close there as they would online.
+    The patterns and witnesses do not depend on ``t_end``: every method
+    ends its stream as online (VBA by G+1 silent snapshots), so silent
+    snapshots past the last partition change nothing. ``t_end`` is the
+    end of the snapshot stream (Fig 15): it only moves the snapshots at
+    which the last reports count their detection delays.
     """
     engine = EnumerationEngine(params, method)
     by_t: dict[int, PartsAtT] = {}

@@ -23,15 +23,15 @@ PATTERNS_SCHEMA = "anchor long, objs string, times string"
 
 
 def enumerate_patterns(partitions: DataFrame, params: CPParams, *,
-                       method: str = "fba",
-                       t_end: int | None = None) -> DataFrame:
+                       method: str = "fba") -> DataFrame:
     """Partitions ``(t, anchor, member)`` → patterns per subtask.
 
     Output rows: (anchor, objs, times) where ``objs`` is the JSON list
     of the full pattern (anchor included, sorted) and ``times`` the JSON
-    witness time sequence. A bucket in which BA explodes returns one
-    row with ``anchor`` and ``objs`` null and the error message in
-    ``times``.
+    witness time sequence. Each bucket's engine ends at its own last
+    partition; the result does not depend on it (``run_engine``). A
+    bucket in which BA explodes returns one row with ``anchor`` and
+    ``objs`` null and the error message in ``times``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown enumeration method {method!r}; use {METHODS}")
@@ -46,7 +46,7 @@ def enumerate_patterns(partitions: DataFrame, params: CPParams, *,
         parts = {a: {t: frozenset(s) for t, s in by_t.items()}
                  for a, by_t in sets.items()}
         try:
-            found = run_engine(parts, params, method, t_end=t_end).patterns
+            found = run_engine(parts, params, method).patterns
         except BAExplodedError as e:
             yield pd.DataFrame({"anchor": [None], "objs": [None],
                                 "times": [str(e)]})

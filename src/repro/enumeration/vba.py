@@ -8,7 +8,10 @@ later time can G-connect to it); invalid closed episodes are deleted.
 Each snapshot is therefore verified exactly once (vs. η times for
 BA/FBA) — the storage drops to O(n·(G+L)/L) (Theorem 1) and the
 throughput rises, at the price of reporting a pattern only when an
-episode closes (VBA "trades latency for throughput").
+episode closes (VBA "trades latency for throughput"). There is no
+end-of-stream flush: a finite stream ends with G+1 silent snapshots
+(``EnumerationEngine.finish``), which close every open episode exactly
+as the online stream would.
 
 Deviations from the paper's pseudo-code, per DESIGN.md:
 - candidates closing in the same snapshot are processed in id order and
@@ -173,16 +176,4 @@ def vba_step(state: VBAState, t: int, members: frozenset[int],
         min_open = min(st for st, _ in state.h.values())
         state.c = [e for e in state.c if e[2] >= min_open + params.k - 1]
     return out
-
-
-def vba_flush(state: VBAState, params: CPParams
-              ) -> dict[frozenset[int], list[tuple[int, ...]]]:
-    """End of stream: close every open episode and enumerate (finite runs)."""
-    closed = []
-    for oid, (st, bits) in state.h.items():
-        ep = _close(oid, st, bits, params)
-        if ep is not None:
-            closed.append(ep)
-    state.h.clear()
-    return _enumerate_closed(state, closed, params)
 

@@ -79,3 +79,53 @@ def test_engine_empty_stream():
         engine.step(t, {})
     engine.finish()
     assert engine.patterns == {}
+
+
+def _stream_end_variants(parts, params, method):
+    """Patterns with the stream ending at its last partition (``t_end``
+    unset and set), G+5 snapshots later, and with the anchors split over
+    two engines that each end at their own last partition."""
+    t_last = max(t for by_t in parts.values() for t in by_t)
+    out = [run_engine(parts, params, method).patterns]
+    for t_end in (t_last, t_last + params.g + 5):
+        out.append(run_engine(parts, params, method, t_end=t_end).patterns)
+    anchors = sorted(parts)
+    split = {}
+    for half in (anchors[::2], anchors[1::2]):
+        split.update(run_engine({a: parts[a] for a in half}, params,
+                                method).patterns)
+    out.append(split)
+    return out
+
+
+def test_vba_stream_end_counterexample():
+    # Found by a seeded search: a flush that closed oid 2's episode 9..13
+    # and oid 4's 1..11 in one round reported {1, 2, 4} at (9, 10, 11),
+    # while online oid 4 closes first, at t=15, and reports (1, 2) with
+    # oid 2's closed episode 1..2. Anchor 7 runs its engine on to t=20.
+    params = CPParams(m=3, k=2, l=1, g=3)
+    p1 = {1: {2, 4}, 2: {2, 4}, 5: {4}, 9: {2, 4}, 10: {2, 4}, 11: {2, 4},
+          13: {2}}
+    parts = {1: {t: frozenset(s) for t, s in p1.items()},
+             7: {t: frozenset({8}) for t in (18, 19, 20)}}
+    for patterns in _stream_end_variants(parts, params, "vba"):
+        assert patterns[frozenset({1, 2, 4})] == (1, 2)
+
+
+@pytest.mark.parametrize("method", ["ba", "fba", "vba"])
+def test_engine_result_independent_of_stream_end(method):
+    # Patterns and witnesses are those of the online stream, whatever
+    # end the stream is given and however anchors are bucketed.
+    g = np.random.default_rng(5)
+    for seed in range(40):
+        k = int(g.integers(2, 5))
+        params = CPParams(m=int(g.integers(2, 4)), k=k,
+                          l=int(g.integers(1, k + 1)), g=int(g.integers(1, 4)))
+        clusters = _random_clusters(int(g.integers(4, 8)),
+                                    int(g.integers(6, 16)), 2,
+                                    float(g.uniform(0.4, 0.8)), seed)
+        parts = id_partitions_py(clusters, params.m)
+        if not parts:
+            continue
+        first, *rest = _stream_end_variants(parts, params, method)
+        assert all(p == first for p in rest), (seed, params)

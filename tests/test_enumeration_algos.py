@@ -15,7 +15,7 @@ from repro.enumeration import ba
 from repro.enumeration.engine import run_engine
 from repro.enumeration.fba import window_bits
 from repro.enumeration.partition import id_partitions_py
-from repro.enumeration.vba import VBAState, vba_flush, vba_step
+from repro.enumeration.vba import VBAState, vba_step
 from repro.params import CPParams
 
 
@@ -115,11 +115,10 @@ def test_vba_maximal_sequences_match_reference():
         t_lo = min(p)
         state = VBAState()
         acc = {}
-        for t in range(t_lo, t_end + 1):
+        # G+1 silent snapshots past the end close every episode.
+        for t in range(t_lo, t_end + params.g + 2):
             for O, seqs in vba_step(state, t, p.get(t, frozenset()), params).items():
                 acc.setdefault(O, set()).update(map(tuple, seqs))
-        for O, seqs in vba_flush(state, params).items():
-            acc.setdefault(O, set()).update(map(tuple, seqs))
         for O, seqs in acc.items():
             got[frozenset(O | {anchor})] = seqs
     assert set(got) == set(ref)
@@ -258,5 +257,6 @@ def test_vba_reports_only_at_closure():
     assert vba_step(state, 1, frozenset({3}), params) == {}
     assert vba_step(state, 2, frozenset({3}), params) == {}
     assert vba_step(state, 3, frozenset({3}), params) == {}  # still open
-    got = vba_flush(state, params)
+    assert vba_step(state, 4, frozenset(), params) == {}
+    got = vba_step(state, 5, frozenset(), params)  # G+1 = 2 absences
     assert got == {frozenset({3}): [(1, 2, 3)]}

@@ -3,13 +3,16 @@
 RJC must additionally emit each unordered pair exactly once *without*
 deduplication (that is the point of Lemmas 1 and 2).
 """
+import math
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro import trajgen
 from repro.cluster.gdc import gdc_pairs
-from repro.cluster.grid import allocate, with_home_key
+from repro.cluster.grid import GRIDOBJ_SCHEMA_COLS, allocate, with_home_key
 from repro.cluster.rangejoin import (_grid_query_cell, canonical, grid_sync,
                                      rjc_pairs)
 from repro.cluster.srj import _cell_join, srj_pairs
@@ -81,6 +84,58 @@ def test_allocate_full_square_superset(spark):
     full_set = {(r.t, r.kx, r.ky, r.flag, r.oid) for r in full.collect()}
     assert up_set <= full_set
     assert len(up_set) < len(full_set)  # Lemma 1 actually prunes replicas
+
+
+# Each case: points, lg, eps — negative coordinates, points on cell edges,
+# x ± ϵ landing exactly on a cell edge, and ϵ ≥ lg.
+ALLOCATE_CASES = {
+    "negative": ([(-5.0, -12.5), (-0.1, 3.0), (-29.0, -28.0)], 10.0, 3.0),
+    "on_edge": ([(20.0, 10.0), (0.0, 0.0), (-10.0, 30.0)], 10.0, 3.0),
+    "eps_to_edge": ([(7.5, 7.5), (12.5, 2.5), (-7.5, -12.5)], 10.0, 2.5),
+    "eps_ge_lg": ([(3.0, -4.0), (17.5, 2.5), (0.0, 5.0)], 5.0, 12.0),
+}
+
+
+def _allocate_reference(pdf, lg, eps, upper_half):
+    """Definition 12 over the Lemma 1 key ranges, in plain Python: one
+    row per probed cell of every location, flagged unless it is home."""
+    rows = []
+    for t, oid, x, y in pdf[["t", "oid", "x", "y"]].itertuples(index=False):
+        home = (math.floor(x / lg), math.floor(y / lg))
+        y_lo = y if upper_half else y - eps
+        for kx in range(math.floor((x - eps) / lg),
+                        math.floor((x + eps) / lg) + 1):
+            for ky in range(math.floor(y_lo / lg),
+                            math.floor((y + eps) / lg) + 1):
+                rows.append((t, kx, ky, (kx, ky) != home, oid, x, y))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("upper_half", [True, False], ids=["upper", "full"])
+@pytest.mark.parametrize("case", ALLOCATE_CASES)
+def test_allocate_matches_definition(spark, case, upper_half):
+    xy, lg, eps = ALLOCATE_CASES[case]
+    pdf = _points(xy)
+    df = spark.createDataFrame(pdf, schema="oid long, t long, x double, y double")
+    out = allocate(df, lg=lg, eps=eps, upper_half=upper_half)
+    assert out.columns == GRIDOBJ_SCHEMA_COLS
+    got = sorted(tuple(r) for r in out.collect())
+    assert got == _allocate_reference(pdf, lg, eps, upper_half)
+    assert sum(not r[3] for r in got) == len(xy)  # one data object each
+
+
+def test_allocate_is_one_generator(spark):
+    # The data object is the home cell of the probed square, so one
+    # generator emits every GridObject: no union, one scan of the input.
+    df = spark.createDataFrame(_points([(1.0, 2.0)]),
+                               schema="oid long, t long, x double, y double")
+    for upper_half in (True, False):
+        plan = allocate(df, lg=10.0, eps=3.0, upper_half=upper_half
+                        )._jdf.queryExecution().optimizedPlan().toString()
+        nodes = [re.match(r"[\s:+|-]*(\w+)", line).group(1)
+                 for line in plan.splitlines() if line.strip()]
+        assert "Union" not in nodes
+        assert nodes.count("Generate") == 1
 
 
 # ------------------------------------------------------------ correctness

@@ -3,8 +3,7 @@ import pytest
 
 from repro.core import bitstring as bs
 from repro.enumeration.engine import run_engine
-from repro.enumeration.vba import (VBAState, _close, _enumerate_with,
-                                   vba_flush, vba_step)
+from repro.enumeration.vba import VBAState, _close, _enumerate_with, vba_step
 from repro.params import CPParams
 
 P = CPParams(m=2, k=3, l=3, g=2, eps=1, min_pts=2, lg=1)
@@ -15,13 +14,12 @@ def b(s):
 
 
 def _run(parts, params, t_end):
+    # The stream ends with G+1 silent snapshots, which close every episode.
     state = VBAState()
     acc = {}
-    for t in range(1, t_end + 1):
+    for t in range(1, t_end + params.g + 2):
         for O, seqs in vba_step(state, t, parts.get(t, frozenset()), params).items():
             acc.setdefault(O, []).extend(seqs)
-    for O, seqs in vba_flush(state, params).items():
-        acc.setdefault(O, []).extend(seqs)
     return state, acc
 
 
@@ -59,7 +57,9 @@ def test_episode_with_internal_gap_stays_open():
         out.update(vba_step(state, t, parts.get(t, frozenset()), params))
     assert out == {}          # still open at t=8
     assert 3 in state.h
-    got = vba_flush(state, params)
+    for t in range(9, 12):    # closes after G+1 = 4 absences, at t=12
+        assert vba_step(state, t, frozenset(), params) == {}
+    got = vba_step(state, 12, frozenset(), params)
     assert got == {frozenset({3}): [(1, 2, 3, 6, 7, 8)]}
 
 
@@ -99,7 +99,8 @@ def test_vba_gc_retention_rule():
     # oid 9's open episode starts at 1 -> candidate (et=3) must be kept
     # (3 >= 1 + K - 1 = 3): a joint pattern with 9 is still possible.
     assert [e[0] for e in state.c] == [2]
-    got = vba_flush(state, params)
+    assert vba_step(state, 8, frozenset(), params) == {}
+    got = vba_step(state, 9, frozenset(), params)  # 9 closes: G+1 absences
     assert frozenset({2, 9}) in got  # and indeed it is found
 
 
