@@ -18,13 +18,16 @@ segment of T must lie inside a maximal 1-run, the check is:
 Each qualifying chain's union of times is a *maximal pattern time
 sequence* (Definition 15). Validity is anti-monotone under bitwise AND
 (clearing 1s only removes witnesses), which makes Apriori-style
-candidate enumeration sound.
+candidate enumeration sound. VBA's strings each cover their own span
+``(st, et, bits)``; ``and_overlap`` ANDs two of them on their overlap
+and prunes overlaps too short to hold K times (Lemma 8).
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Run = tuple[int, int]  # (start index, length)
+Span = tuple[int, int, int]  # (st, et, bits): bit i ↔ time st + i
 
 
 def from_times(times: Iterable[int], start: int, length: int) -> int:
@@ -98,44 +101,17 @@ def trailing_zeros(bits: int, length: int) -> int:
     return length - bits.bit_length()
 
 
-def align_and(strings: Sequence[tuple[int, int, int]]) -> tuple[int, int, int] | None:
-    """Bitwise AND of variable-length strings ``(st, et, bits)``.
+def and_overlap(a: Span, b: Span, k: int) -> Span | None:
+    """Bitwise AND of two variable-length strings ``(st, et, bits)``.
 
-    Aligns every string onto the overlap [max st, min et] and ANDs them
-    (outside its own span a trajectory is by definition not co-clustered,
-    so the overlap is the only region where all can be 1). Returns
-    ``(st, et, bits)`` of the overlap, or None if it is empty.
+    Outside its own span a trajectory is by definition not co-clustered,
+    so both strings can be 1 only on the overlap [max st, min et]; the
+    result is ``(st, et, bits)`` of that overlap. A valid T needs ≥ K
+    times inside it, so an overlap of fewer than K snapshots is pruned
+    and returns None (Lemma 8, off-by-one corrected, see DESIGN.md).
     """
-    st = max(s for s, _, _ in strings)
-    et = min(e for _, e, _ in strings)
-    if et < st:
+    st, et = max(a[0], b[0]), min(a[1], b[1])
+    if et - st + 1 < k:
         return None
-    width = et - st + 1
-    mask = (1 << width) - 1
-    acc = mask
-    for s, _, b in strings:
-        acc &= (b >> (st - s)) & mask
-        if not acc:
-            break
-    return st, et, acc
-
-
-def first_valid_prefix(bits: int, length: int, k: int, l: int, g: int) -> int | None:
-    """Smallest index τ such that bits[0..τ] is (K,L,G)-valid, else None.
-
-    This is the instant a pattern *becomes* valid — the reference point
-    for the detection-delay metric (report time − first valid time).
-    """
-    for tau in range(length):
-        if bits & (1 << tau) and is_valid(bits & ((2 << tau) - 1), k, l, g):
-            return tau
-    return None
-
-
-def spans_may_carry_k(strings: Sequence[tuple[int, int, int]], k: int) -> bool:
-    """Lemma 8 span-overlap prune (off-by-one corrected, see DESIGN.md).
-
-    A valid T needs ≥ K distinct times inside every member's span, so
-    the combination is prunable unless min{et} − max{st} + 1 ≥ K.
-    """
-    return min(e for _, e, _ in strings) - max(s for s, _, _ in strings) + 1 >= k
+    mask = (1 << (et - st + 1)) - 1
+    return st, et, (a[2] >> (st - a[0])) & (b[2] >> (st - b[0])) & mask

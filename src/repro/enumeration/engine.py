@@ -17,8 +17,13 @@ time and maintains, per anchor (= Flink keyed state):
   online stream would, so a VBA result never depends on where the
   stream was cut or on how anchors are bucketed (DESIGN.md).
 
+An anchor's state is dropped once it is spent: its η-window buffer when
+empty, its VBA state when H is empty (no candidate can pair with a
+later episode).
+
 Metric: per first report of a pattern, the *detection delay* in
-snapshots (report time − the time the pattern first became valid).
+snapshots (report time − the time the pattern first became valid, read
+off its witness in one pass).
 """
 from __future__ import annotations
 
@@ -88,6 +93,10 @@ class EnumerationEngine:
                 state = self._vba[anchor] = VBAState()
                 state.t_prev = t - 1  # episode begins at first sighting
             self._report(anchor, vba_step(state, t, members, self.params), now)
+            if not state.h:
+                # Every later episode starts after each candidate's et,
+                # so no candidate can pair with it (Lemma 8): drop all.
+                del self._vba[anchor]
 
     def _run_windows(self, t0: int, now: int) -> None:
         for anchor, by_t in self._fba_parts.items():
@@ -107,9 +116,11 @@ class EnumerationEngine:
                     )
                     pats[O] = [tuple(t0 + i for i in s) for s in seqs]
             self._report(anchor, pats, now)
-        for by_t in self._fba_parts.values():
+        for anchor, by_t in list(self._fba_parts.items()):
             for old in [t for t in by_t if t <= t0]:
                 del by_t[old]
+            if not by_t:
+                del self._fba_parts[anchor]
 
     def _report(self, anchor: int, found: dict, now: int) -> None:
         for O, seqs in found.items():
@@ -121,12 +132,20 @@ class EnumerationEngine:
             self.delays.append(now - self._first_valid(best))
 
     def _first_valid(self, seq: tuple[int, ...]) -> int:
-        lo, width = seq[0], seq[-1] - seq[0] + 1
-        bits = bs.from_times(seq, lo, width)
-        tau = bs.first_valid_prefix(
-            bits, width, self.params.k, self.params.l, self.params.g
-        )
-        return lo + (tau if tau is not None else width - 1)
+        """The time at which the witness ``seq`` first became valid.
+
+        A witness is one chain (segments ≥ L, gaps ≤ G), so its prefix
+        up to t is valid once it holds ≥ K times and t's segment holds
+        ≥ L (BA's ``_verify`` stop condition).
+        """
+        k, l = self.params.k, self.params.l
+        seg, prev = 0, None
+        for n, t in enumerate(seq, 1):
+            seg = seg + 1 if t - 1 == prev else 1
+            if n >= k and seg >= l:
+                return t
+            prev = t
+        return seq[-1]
 
 
 def run_engine(partitions: PartsByAnchor, params: CPParams,

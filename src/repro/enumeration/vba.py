@@ -11,14 +11,17 @@ throughput rises, at the price of reporting a pattern only when an
 episode closes (VBA "trades latency for throughput"). There is no
 end-of-stream flush: a finite stream ends with G+1 silent snapshots
 (``EnumerationEngine.finish``), which close every open episode exactly
-as the online stream would.
+as the online stream would. A closed episode's patterns are enumerated
+by FBA's Apriori loop (``fba.grow``), joining episodes pairwise with
+``bs.and_overlap``.
 
 Deviations from the paper's pseudo-code, per DESIGN.md:
 - candidates closing in the same snapshot are processed in id order and
   become visible to each other (Algorithm 5 would silently miss their
   joint patterns);
-- the Lemma 8 prune uses overlap ≥ K *snapshots* (min{et} − max{st} + 1
-  ≥ K), fixing the paper's off-by-one;
+- the Lemma 8 prune (in ``bs.and_overlap``) uses overlap ≥ K
+  *snapshots* (min{et} − max{st} + 1 ≥ K), fixing the paper's
+  off-by-one;
 - candidate GC (always on) drops c ∈ C once c.et < min(open episode
   st) + K − 1 — no future closure can overlap it by ≥ K, so the drop is
   lossless and C stays bounded on unbounded streams.
@@ -26,9 +29,9 @@ Deviations from the paper's pseudo-code, per DESIGN.md:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from repro.core import bitstring as bs
+from repro.enumeration.fba import grow
 from repro.params import CPParams
 
 Episode = tuple[int, int, int, int]  # (oid, st, et, bits) — closed, trimmed
@@ -54,57 +57,29 @@ def _close(oid: int, st: int, bits: int, params: CPParams) -> Episode | None:
 
 
 def _enumerate_with(new: Episode, pool: list[Episode],
-                    params: CPParams) -> dict[tuple[Episode, ...], tuple[int, int, int]]:
+                    params: CPParams) -> dict[tuple[Episode, ...], bs.Span]:
     """All valid patterns that contain the freshly closed episode.
 
-    Apriori over ``pool`` (episodes of other oids overlapping ``new`` by
-    ≥ K snapshots), extending only with larger pool indices so each
-    combination is generated once. Returns {episodes → (st, et, bits)}
-    of the ANDed overlap string.
+    ``fba.grow`` over ``pool`` from ``new``: a combination joins
+    episodes of distinct oids whose ANDed overlap (``bs.and_overlap``,
+    with Lemma 8) stays valid. Returns {episodes → (st, et, bits)} of
+    the ANDed overlap string, ``new`` first in every key.
     """
     k, l, g = params.k, params.l, params.g
-    cand = [e for e in pool
-            if e[0] != new[0] and bs.spans_may_carry_k(
-                [(e[1], e[2], 0), (new[1], new[2], 0)], k)]
-    out: dict[tuple[Episode, ...], tuple[int, int, int]] = {}
-    need = params.m - 1  # members beside the anchor; ``new`` is one of them
-    if len(cand) < need - 1:
-        return out
 
-    def anded(eps_list: list[Episode]) -> tuple[int, int, int] | None:
-        r = bs.align_and([(st, et, b) for _, st, et, b in eps_list])
-        if r is None or not bs.is_valid(r[2], k, l, g):
-            return None
-        return r
+    def join(s, i):
+        oids, span = s
+        e = pool[i]
+        if e[0] in oids:
+            return None  # two episodes of the same oid cannot co-occur
+        r = bs.and_overlap(span, e[1:], k)
+        return None if r is None else (oids + (e[0],), r)
 
-    frontier: list[tuple[tuple[int, ...], list[Episode]]] = []
-    for combo in combinations(range(len(cand)), need - 1):
-        eps_list = [new] + [cand[i] for i in combo]
-        if len({e[0] for e in eps_list}) < len(eps_list):
-            continue  # two episodes of the same oid cannot co-occur
-        r = anded(eps_list)
-        if r is not None:
-            out[tuple(eps_list)] = r
-            frontier.append((combo, eps_list))
-    while frontier:
-        nxt = []
-        for combo, eps_list in frontier:
-            hi = combo[-1] if combo else -1
-            for i in range(hi + 1, len(cand)):
-                e = cand[i]
-                if any(e[0] == x[0] for x in eps_list):
-                    continue
-                if not bs.spans_may_carry_k(
-                    [(e[1], e[2], 0)] + [(x[1], x[2], 0) for x in eps_list], k
-                ):
-                    continue
-                r = anded(eps_list + [e])
-                if r is not None:
-                    ncombo = combo + (i,)
-                    out[tuple(eps_list + [e])] = r
-                    nxt.append((ncombo, eps_list + [e]))
-        frontier = nxt
-    return out
+    # ``new`` is one member beside the anchor: M−2 pool episodes complete M.
+    found = grow(len(pool), params.m - 2, ((new[0],), new[1:]), join,
+                 lambda s: bs.is_valid(s[1][2], k, l, g))
+    return {(new, *(pool[i] for i in combo)): span
+            for combo, (_, span) in found.items()}
 
 
 def _emit(found, params) -> dict[frozenset[int], list[tuple[int, ...]]]:
@@ -129,9 +104,6 @@ def _enumerate_closed(state: VBAState, closed: list[Episode],
     out: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for ep in sorted(closed):
         found = _enumerate_with(ep, state.c, params)
-        # The closed episode alone is a pattern {anchor, oid} when M <= 2.
-        if params.m <= 2:
-            found[(ep,)] = (ep[1], ep[2], ep[3])
         for O, seqs in _emit(found, params).items():
             out.setdefault(O, []).extend(seqs)
         state.c.append(ep)

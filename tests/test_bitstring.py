@@ -134,24 +134,26 @@ def test_align_and_paper_fig9():
     s5 = (2, 8, b("1111111"))
     s6 = (3, 8, b("110111"))
     s7 = (3, 8, b("110011"))
-    st, et, bits = bs.align_and([s5, s6, s7])
+    s56 = bs.and_overlap(s5, s6, k=4)
+    assert s56 == (3, 8, b("110111"))
+    assert bs.is_valid(s56[2], 4, 2, 2)
+    # The three-way AND, chained pairwise in either order.
+    st, et, bits = bs.and_overlap(s56, s7, k=4)
     assert (st, et) == (3, 8)
     assert bits == b("110011")  # invalid under Definition 3, see Fig 8 test
-    st2, et2, bits2 = bs.align_and([s5, s6])
-    assert (st2, et2, bits2) == (3, 8, b("110111"))
-    assert bs.is_valid(bits2, 4, 2, 2)
+    assert bs.and_overlap(s5, bs.and_overlap(s6, s7, k=4), k=4) == (st, et, bits)
 
 
 def test_align_and_empty_overlap():
-    assert bs.align_and([(1, 3, b("111")), (5, 8, b("1111"))]) is None
+    assert bs.and_overlap((1, 3, b("111")), (5, 8, b("1111")), k=1) is None
 
 
 def test_lemma8_span_prune_exact_k_not_pruned():
     # Overlap of exactly K snapshots must NOT be pruned (paper off-by-one).
     a = (1, 6, b("111111"))
     c = (3, 9, b("1111111"))
-    assert bs.spans_may_carry_k([a, c], k=4)       # overlap [3,6] = 4 times
-    assert not bs.spans_may_carry_k([a, c], k=5)
+    assert bs.and_overlap(a, c, k=4) == (3, 6, b("1111"))  # overlap [3,6]
+    assert bs.and_overlap(a, c, k=5) is None
 
 
 # ------------------------------------------------------- property tests

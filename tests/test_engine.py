@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import bitstring as bs
 from repro.core.reference import reference_patterns
 from repro.enumeration.engine import EnumerationEngine, run_engine
 from repro.enumeration.partition import id_partitions_py
@@ -41,10 +42,17 @@ def test_engine_metrics_consistent():
 
 def test_engine_fba_prunes_old_state():
     clusters = _random_clusters(6, 40, 2, 0.6, seed=7)
-    engine = _drive("fba", clusters)
-    # After finish, no anchor may retain more than ~eta partitions.
-    for by_t in engine._fba_parts.values():
-        assert len(by_t) <= PARAMS.eta
+    # No anchor may retain more than ~eta partitions, and finish drops
+    # every anchor's spent window buffer.
+    peak = 0
+    engine = EnumerationEngine(PARAMS, "fba")
+    parts = id_partitions_py(clusters, PARAMS.m)
+    for t in sorted(clusters):
+        engine.step(t, {a: by_t[t] for a, by_t in parts.items() if t in by_t})
+        peak = max([peak, *map(len, engine._fba_parts.values())])
+    assert 0 < peak <= PARAMS.eta
+    engine.finish()
+    assert engine._fba_parts == {}
 
 
 def test_engine_fba_delay_at_most_window():
@@ -71,6 +79,66 @@ def test_engine_vba_state_bounded(monkeypatch):
     engine = _drive("vba", clusters)
     assert 0 < peak <= 8
     assert set(engine.patterns) == set(reference_patterns(clusters, PARAMS))
+    assert engine._vba == {}  # every anchor's H emptied: its state dropped
+
+
+def _first_valid_oracle(seq, params):
+    """Smallest τ whose witness prefix is (K,L,G)-valid, by is_valid."""
+    lo, width = seq[0], seq[-1] - seq[0] + 1
+    bits = bs.from_times(seq, lo, width)
+    for tau in range(width):
+        if bits >> tau & 1 and bs.is_valid(bits & ((2 << tau) - 1),
+                                           params.k, params.l, params.g):
+            return lo + tau
+    return None
+
+
+def test_first_valid_hand_cases():
+    # K is reached inside a segment shorter than L: valid only once that
+    # segment holds L times.
+    for (k, l, g), seq, tau in [
+        ((4, 3, 2), (1, 2, 3, 5, 6, 7), 7),
+        ((3, 2, 2), (1, 2, 4, 5), 5),
+        ((3, 2, 3), (1, 2, 5, 6, 7), 6),
+        ((2, 1, 2), (4, 6), 6),
+        ((4, 2, 2), (1, 2, 3, 4), 4),
+    ]:
+        params = CPParams(m=2, k=k, l=l, g=g)
+        assert _first_valid_oracle(seq, params) == tau
+        assert EnumerationEngine(params)._first_valid(seq) == tau
+
+
+@pytest.mark.parametrize("method", ["ba", "fba", "vba"])
+def test_delay_is_report_time_minus_first_valid(method, monkeypatch):
+    # Every reported pattern's delay is now − τ, τ the end of the
+    # witness's shortest (K,L,G)-valid prefix.
+    reported = []
+    report = EnumerationEngine._report
+
+    def report_and_record(self, anchor, found, now):
+        n = len(self.delays)
+        report(self, anchor, found, now)
+        reported.extend([now] * (len(self.delays) - n))
+
+    monkeypatch.setattr(EnumerationEngine, "_report", report_and_record)
+    g = np.random.default_rng(3)
+    checked = 0
+    for seed in range(100):
+        k = int(g.integers(2, 6))
+        params = CPParams(m=int(g.integers(2, 4)), k=k,
+                          l=int(g.integers(1, k + 1)), g=int(g.integers(1, 4)))
+        clusters = _random_clusters(int(g.integers(4, 8)),
+                                    int(g.integers(6, 20)), 2,
+                                    float(g.uniform(0.4, 0.9)), seed)
+        reported.clear()
+        engine = run_engine(id_partitions_py(clusters, params.m), params,
+                            method, t_end=max(clusters))
+        assert len(reported) == len(engine.delays) == len(engine.patterns)
+        for T, now, d in zip(engine.patterns.values(), reported,
+                             engine.delays):
+            assert d == now - _first_valid_oracle(T, params)
+            checked += 1
+    assert checked > 100
 
 
 def test_engine_empty_stream():

@@ -70,7 +70,8 @@ def test_lemma4_eta_window_suffices(bits, k, l, g):
 @given(seed=st.integers(0, 10_000), k=st.integers(2, 5))
 def test_lemma8_prune_is_sound(seed, k):
     # A pruned combination can never hide a valid pattern: if the span
-    # overlap holds fewer than K snapshots, the AND has < K ones.
+    # overlap holds fewer than K snapshots, the AND has < K ones. A kept
+    # one ANDs to exactly the common times.
     import random
     rng = random.Random(seed)
     sts = [rng.randint(1, 20) for _ in range(3)]
@@ -79,8 +80,12 @@ def test_lemma8_prune_is_sound(seed, k):
         width = rng.randint(1, 10)
         strs.append((st_i, st_i + width - 1,
                      rng.randint(1, (1 << width) - 1)))
-    if not bs.spans_may_carry_k(strs, k):
-        r = bs.align_and(strs)
-        if r is not None:
-            assert bin(r[2]).count("1") < k
-            assert not bs.is_valid(r[2], k, 1, 1)
+    common = set.intersection(*(set(bs.to_times(b, s)) for s, _, b in strs))
+    r = strs[0]
+    for s in strs[1:]:
+        r = r and bs.and_overlap(r, s, k)
+    if r is None:
+        assert len(common) < k
+        assert not bs.is_valid(bs.from_times(common, 0, 32), k, 1, 1)
+    else:
+        assert set(bs.to_times(r[2], r[0])) == common
