@@ -4,8 +4,9 @@ Each ``jobs/table_*.py`` is runnable standalone::
 
     spark-submit jobs/table_t10_clustering_eps.py [--quick]
 
-or plainly with ``python`` (a local SparkSession is created either
-way, configured like the test fixture in conftest.py). Importing this
+or plainly with ``python``. The jobs where the paper distributes
+(T10, T11, T14) create a local SparkSession, configured like the test
+fixture in conftest.py; T2, T12, T13 and T15 start no JVM. Importing this
 module puts ``src`` on ``sys.path`` and on ``PYTHONPATH`` (which the
 Spark session's Python workers inherit), so ``repro`` imports without
 an install; the repository root stays on ``sys.path`` for
@@ -55,10 +56,11 @@ def cli() -> argparse.Namespace:
     return p.parse_args()
 
 
-def run_table(name: str, title: str, sweep_fn, columns: list[str], *,
+def run_table(name: str, title: str, sweep_fn, *,
               needs_spark: bool = True) -> list[dict]:
     """Standard job main: run the sweep, print the table, save JSON."""
     from repro import experiments as ex
+    from repro.tables import COLUMNS
 
     args = cli()
     if needs_spark:
@@ -70,7 +72,7 @@ def run_table(name: str, title: str, sweep_fn, columns: list[str], *,
             spark.stop()
     else:
         rows = sweep_fn(quick=args.quick)
-    print(ex.format_table(title, rows, columns))
+    print(ex.format_table(title, rows, COLUMNS[name]))
     path = ex.save_results(name, rows)
     print(f"\nsaved {path}")
     return rows

@@ -11,5 +11,4 @@ if __name__ == "__main__":
         "t10_clustering_eps",
         "T10 — Clustering performance vs distance threshold eps (Fig 10)",
         sweep_t10_clustering_eps,
-        ["dataset", "eps_pct", "method", "latency_ms", "throughput_tps"],
     )

@@ -11,5 +11,4 @@ if __name__ == "__main__":
         "t11_clustering_lg",
         "T11 — Clustering performance vs grid cell width lg (Fig 11)",
         sweep_t11_clustering_lg,
-        ["dataset", "lg_pct", "method", "latency_ms", "throughput_tps"],
     )

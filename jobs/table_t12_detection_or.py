@@ -12,6 +12,5 @@ if __name__ == "__main__":
         "t12_detection_or",
         "T12 — Pattern detection vs object ratio Or (Fig 12)",
         sweep_t12_detection_or,
-        ["dataset", "or_pct", "method", "latency_ms", "throughput_tps",
-         "delay_snap", "avg_cluster_size", "n_patterns"],
+        needs_spark=False,
     )

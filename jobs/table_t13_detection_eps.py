@@ -11,6 +11,5 @@ if __name__ == "__main__":
         "t13_detection_eps",
         "T13 — Pattern detection vs distance threshold eps (Fig 13)",
         sweep_t13_detection_eps,
-        ["dataset", "eps_pct", "method", "latency_ms", "throughput_tps",
-         "delay_snap", "avg_cluster_size", "n_patterns"],
+        needs_spark=False,
     )

@@ -11,6 +11,4 @@ if __name__ == "__main__":
         "t14_scalability",
         "T14 — Pattern detection vs worker count N (Fig 14)",
         sweep_t14_scalability,
-        ["dataset", "n_workers", "method", "latency_ms", "throughput_tps",
-         "n_patterns"],
     )

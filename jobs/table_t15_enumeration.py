@@ -11,8 +11,6 @@ if __name__ == "__main__":
     run_table(
         "t15_enumeration",
         "T15 — Pattern enumeration vs M, K, L, G (Fig 15)",
-        lambda quick=False: sweep_t15_enumeration(quick=quick),
-        ["dataset", "axis", "value", "method", "latency_ms",
-         "throughput_tps", "delay_snap", "n_patterns"],
+        sweep_t15_enumeration,
         needs_spark=False,
     )

@@ -7,7 +7,5 @@ if __name__ == "__main__":
         "t2_datasets",
         "T2 — Dataset substitutes (Table 2, ~50x reduced scale)",
         lambda quick=False: table_t2_datasets(),
-        ["dataset", "n_trajectories", "n_locations", "n_snapshots",
-         "manhattan"],
         needs_spark=False,
     )

@@ -3,19 +3,19 @@
 One entry point per measured quantity; ``jobs/table_*.py`` (through
 ``repro.tables``) are thin wrappers. Metrics (DESIGN.md §3):
 
-- **latency_ms** — average per-snapshot processing wall time
-  (clustering + enumeration; amortized over the stream);
-- **throughput_tps** — snapshots processed per second over the whole
-  run (wall-clock of the full stream);
+- **latency_ms** — wall time of the whole run / snapshots, the median
+  of ``RUNS`` runs, with the fastest and slowest as ``latency_ms_min``
+  and ``latency_ms_max``;
+- **throughput_tps** — snapshots / median wall;
 - **delay_snap** — average detection delay in snapshots (report time −
   first time the pattern was valid). This is the substrate-independent
   latency that separates FBA from VBA;
 - **avg_cluster_size** — as plotted by Figs 12/13.
 
-The enumeration-only experiments (Fig 15, where the paper omits
-clustering) and the cluster-size stat cluster in-process with
-``reference.brute_clusters``, whose DBSCAN shares ``cluster_snapshot``
-with the Spark path and so has identical semantics.
+Only Figs 10, 11 and 14, where the paper distributes, take a
+SparkSession. Detection (Figs 12/13) streams through the in-process
+``StreamingDetector``; the enumeration-only runs (Fig 15, where the
+paper omits clustering) take labels from ``cluster.cluster_local``.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from pyspark.sql import SparkSession
 from repro import trajgen
 from repro.cluster import cluster_stream
 from repro.core.icpe import detect
-from repro.core.reference import brute_clusters
 from repro.enumeration.ba import BAExplodedError
 from repro.enumeration.engine import run_engine
 from repro.enumeration.partition import id_partitions_py
@@ -46,6 +45,9 @@ DATASETS = {
 }
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "results")
+
+RUNS = 3       # timed runs per table cell
+N_BATCHES = 8  # micro-batches per streamed detection run
 
 # A run whose BA enumeration exploded: the paper's missing bar.
 _DNF = {"dnf": True, "latency_ms": float("nan"),
@@ -81,6 +83,24 @@ def avg_cluster_size(clusters: dict[int, dict[int, int]]) -> float:
     return float(np.mean(sizes)) if sizes else 0.0
 
 
+def _timed(fn, n_snapshots: int) -> tuple[dict, object]:
+    """Run ``fn`` ``RUNS`` times: a row's timing columns and the result
+    of the median run (the one whose wall is the median)."""
+    runs = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        res = fn()
+        runs.append((time.perf_counter() - start, res))
+    runs.sort(key=lambda run: run[0])
+    wall, res = runs[RUNS // 2]
+    return {
+        "latency_ms": 1000.0 * wall / n_snapshots,
+        "latency_ms_min": 1000.0 * runs[0][0] / n_snapshots,
+        "latency_ms_max": 1000.0 * runs[-1][0] / n_snapshots,
+        "throughput_tps": n_snapshots / wall,
+    }, res
+
+
 # ------------------------------------------------------------ clustering
 
 _WARMED: set[int] = set()
@@ -101,69 +121,53 @@ def warm_up(spark: SparkSession) -> None:
     _WARMED.add(id(spark))
 
 
-def run_clustering(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
-                   params: CPParams, method: str, *, repeats: int = 2) -> dict:
-    """Figs 10/11: full-stream clustering of RJC/SRJ/GDC (best of N)."""
+def run_clustering(spark: SparkSession, pdf: pd.DataFrame, params: CPParams,
+                   method: str) -> dict:
+    """Figs 10/11: full-stream clustering of RJC/SRJ/GDC."""
     warm_up(spark)
     sdf = trajgen.to_spark(spark, pdf)
-    walls = []
-    n_rows = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        n_rows = cluster_stream(sdf, params, method).count()
-        walls.append(time.perf_counter() - start)
-    wall = min(walls)
-    n = int(pdf["t"].nunique())
-    return {
-        "method": method,
-        "latency_ms": 1000.0 * wall / n,
-        "throughput_tps": n / wall,
-        "clustered_rows": int(n_rows),
-    }
+    timing, n_rows = _timed(
+        lambda: cluster_stream(sdf, params, method).count(),
+        int(pdf["t"].nunique()))
+    return {"method": method, **timing, "clustered_rows": int(n_rows)}
 
 
 # ------------------------------------------------------------- detection
 
-def run_detection(spark: SparkSession, pdf: pd.DataFrame, cfg: TrajConfig,
-                  params: CPParams, enum_method: str, *,
-                  n_batches: int = 8, cluster_stats: bool = True) -> dict:
+def run_detection(pdf: pd.DataFrame, params: CPParams,
+                  enum_method: str) -> dict:
     """Figs 12/13: full pattern detection (clustering + enumeration).
 
-    B/F/V all stream through the detector, which yields per-snapshot
-    latency and detection delay. B reports DNF when 2^|P| explodes,
-    like the missing B bars of Fig 12.
+    B/F/V all stream through the in-process detector in ``N_BATCHES``
+    micro-batches, which yields detection delay and the clustering /
+    enumeration split of the latency. B reports DNF when 2^|P|
+    explodes, like the missing B bars of Fig 12.
     """
-    warm_up(spark)
-    n = int(pdf["t"].nunique())
-    out = {"method": enum_method, "dnf": False}
-    if cluster_stats:
-        out["avg_cluster_size"] = avg_cluster_size(
-            brute_clusters(pdf, params.eps, params.min_pts))
     recs = trajgen.with_last_time(pdf)
-    det = StreamingDetector(spark, params, enum_method=enum_method,
-                            expected_oids=recs["oid"].unique())
-    start = time.perf_counter()
+    oids = recs["oid"].unique()
+
+    def stream() -> StreamingDetector:
+        det = StreamingDetector(None, params, enum_method=enum_method,
+                                expected_oids=oids)
+        feed_batches(det, recs, n_batches=N_BATCHES)
+        return det
+
     try:
-        feed_batches(det, recs, n_batches=n_batches)
+        timing, det = _timed(stream, int(pdf["t"].nunique()))
     except BAExplodedError:
-        out.update(_DNF)
-        return out
-    wall = time.perf_counter() - start
-    out.update(
-        latency_ms=det.metrics.avg_latency_ms,
-        cluster_ms=det.metrics.avg_cluster_ms,
-        enum_ms=det.metrics.avg_enum_ms,
-        throughput_tps=n / wall,
-        delay_snap=det.metrics.avg_delay_snapshots,
-        n_patterns=len(det.patterns),
-    )
-    return out
+        return {"method": enum_method, **_DNF}
+    return {
+        "method": enum_method, "dnf": False, **timing,
+        "cluster_ms": det.metrics.avg_cluster_ms,
+        "enum_ms": det.metrics.avg_enum_ms,
+        "delay_snap": det.metrics.avg_delay_snapshots,
+        "n_patterns": len(det.patterns),
+    }
 
 
 def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
                         params: CPParams, enum_method: str, *,
-                        shuffle_partitions: int | None = None,
-                        repeats: int = 2) -> dict:
+                        shuffle_partitions: int) -> dict:
     """Fig 14: fully distributed batch run with throttled parallelism.
 
     ``shuffle_partitions`` emulates the cluster size N (DESIGN.md §3):
@@ -171,11 +175,10 @@ def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
     (``repartition("anchor")`` buckets). AQE's partition coalescing is
     off for the run, since it would merge small buckets into one task
     whatever N is. Both confs are restored afterwards.
-    Best of ``repeats`` runs (single-run Spark walls are ±15% noisy).
     """
     warm_up(spark)
     conf = spark.conf
-    throttle = {} if shuffle_partitions is None else {
+    throttle = {
         "spark.sql.shuffle.partitions": str(shuffle_partitions),
         "spark.sql.adaptive.coalescePartitions.enabled": "false",
     }
@@ -184,19 +187,11 @@ def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
         conf.set(k, v)
     try:
         sdf = trajgen.to_spark(spark, pdf)
-        n = int(pdf["t"].nunique())
-        walls, res = [], None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            res = detect(sdf, params, enum_method=enum_method)
-            walls.append(time.perf_counter() - start)
-        wall = min(walls)
-        return {
-            "method": enum_method,
-            "latency_ms": 1000.0 * wall / n,
-            "throughput_tps": n / wall,
-            "n_patterns": len(res.patterns),
-        }
+        timing, res = _timed(
+            lambda: detect(sdf, params, enum_method=enum_method),
+            int(pdf["t"].nunique()))
+        return {"method": enum_method, **timing,
+                "n_patterns": len(res.patterns)}
     finally:
         for k, v in old.items():
             conf.set(k, v)
@@ -204,24 +199,21 @@ def run_detection_batch(spark: SparkSession, pdf: pd.DataFrame,
 
 # ----------------------------------------------------------- enumeration
 
-def run_enumeration(pdf: pd.DataFrame, params: CPParams, method: str) -> dict:
-    """Fig 15: enumeration phase only (clustering precomputed/omitted)."""
-    clusters = brute_clusters(pdf, params.eps, params.min_pts)
+def run_enumeration(clusters: dict[int, dict[int, int]], params: CPParams,
+                    method: str) -> dict:
+    """Fig 15: enumeration phase only, over precomputed ``{t: {oid: cid}}``
+    labels (clustering omitted, as in the paper)."""
     t_lo, t_hi = min(clusters), max(clusters)
-    n = t_hi - t_lo + 1
     parts_all = id_partitions_py(clusters, params.m)
-    start = time.perf_counter()
     try:
-        engine = run_engine(parts_all, params, method, t_end=t_hi)
+        timing, engine = _timed(
+            lambda: run_engine(parts_all, params, method, t_end=t_hi),
+            t_hi - t_lo + 1)
     except BAExplodedError:
         return {"method": method, **_DNF}
-    wall = time.perf_counter() - start
     delays = engine.delays
     return {
-        "method": method,
-        "dnf": False,
-        "latency_ms": 1000.0 * wall / n,
-        "throughput_tps": n / wall,
+        "method": method, "dnf": False, **timing,
         "delay_snap": float(np.mean(delays)) if delays else 0.0,
         "n_patterns": len(engine.patterns),
     }
@@ -231,20 +223,27 @@ def run_enumeration(pdf: pd.DataFrame, params: CPParams, method: str) -> dict:
 
 def format_table(title: str, rows: list[dict], columns: list[str]) -> str:
     """Plain-text table matching the figure's axes (paper-style rows)."""
-    widths = {c: max(len(c), *(len(_fmt(r.get(c))) for r in rows))
+    widths = {c: max(len(c), *(len(format_cell(r, c)) for r in rows))
               for c in columns}
     lines = [title, "  ".join(c.ljust(widths[c]) for c in columns)]
     for r in rows:
-        lines.append("  ".join(_fmt(r.get(c)).ljust(widths[c]) for c in columns))
+        lines.append("  ".join(format_cell(r, c).ljust(widths[c])
+                               for c in columns))
     return "\n".join(lines)
 
 
-def _fmt(v) -> str:
+def format_cell(row: dict, column: str) -> str:
+    """One table cell: NaN is the paper's missing bar (DNF), and
+    ``latency_ms`` reads ``median [min–max]`` when the row has the range."""
+    v = row.get(column)
     if v is None:
         return "-"
     if isinstance(v, float):
-        if v != v:  # NaN → the paper's missing bar
+        if v != v:
             return "DNF"
+        if column == "latency_ms" and "latency_ms_min" in row:
+            return (f"{v:.2f} [{row['latency_ms_min']:.2f}–"
+                    f"{row['latency_ms_max']:.2f}]")
         return f"{v:.2f}"
     return str(v)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from pyspark.sql import SparkSession
 
 from repro import experiments as ex
+from repro.cluster import cluster_local
 
 EPS_SWEEP = [0.02, 0.04, 0.06, 0.08, 0.10, 0.12]          # % of max distance
 LG_SWEEP = [0.2, 0.4, 0.8, 1.6, 3.2, 6.4]                 # % of max distance
@@ -31,6 +32,24 @@ ENUM_DATASET = "brinkhoff"               # as in Fig 15
 # Snapshots per dataset for the clustering sweeps (keeps GDC runs sane).
 CLUSTER_SNAPSHOTS = 40
 
+_DETECT = ["latency_ms", "throughput_tps", "delay_snap", "avg_cluster_size",
+           "n_patterns"]
+# The printed/rendered columns of each table, keyed by its results file.
+COLUMNS = {
+    "t2_datasets": ["dataset", "n_trajectories", "n_locations",
+                    "n_snapshots", "manhattan"],
+    "t10_clustering_eps": ["dataset", "eps_pct", "method", "latency_ms",
+                           "throughput_tps"],
+    "t11_clustering_lg": ["dataset", "lg_pct", "method", "latency_ms",
+                          "throughput_tps"],
+    "t12_detection_or": ["dataset", "or_pct", "method", *_DETECT],
+    "t13_detection_eps": ["dataset", "eps_pct", "method", *_DETECT],
+    "t14_scalability": ["dataset", "n_workers", "method", "latency_ms",
+                        "throughput_tps", "n_patterns"],
+    "t15_enumeration": ["dataset", "axis", "value", "method", "latency_ms",
+                        "throughput_tps", "delay_snap", "n_patterns"],
+}
+
 
 def _trim(values, quick):
     return [values[0], values[-1]] if quick else values
@@ -47,8 +66,7 @@ def sweep_t10_clustering_eps(spark: SparkSession, *, quick: bool = False,
         for eps_pct in _trim(EPS_SWEEP, quick):
             params = ex.params_for(cfg, eps_pct=eps_pct)
             for method in ("rjc", "srj", "gdc"):
-                r = ex.run_clustering(spark, pdf, cfg, params, method,
-                                      repeats=1 if method == "gdc" else 2)
+                r = ex.run_clustering(spark, pdf, params, method)
                 rows.append({"dataset": name, "eps_pct": eps_pct, **r})
     return rows
 
@@ -63,12 +81,11 @@ def sweep_t11_clustering_lg(spark: SparkSession, *, quick: bool = False,
     rows = []
     for name in datasets or CLUSTER_DATASETS:
         cfg, pdf = ex.make_dataset(name, n_snapshots=CLUSTER_SNAPSHOTS)
-        gdc_row = ex.run_clustering(spark, pdf, cfg, ex.params_for(cfg),
-                                    "gdc", repeats=1)
+        gdc_row = ex.run_clustering(spark, pdf, ex.params_for(cfg), "gdc")
         for lg_pct in _trim(LG_SWEEP, quick):
             params = ex.params_for(cfg, lg_pct=lg_pct)
             for method in ("rjc", "srj"):
-                r = ex.run_clustering(spark, pdf, cfg, params, method)
+                r = ex.run_clustering(spark, pdf, params, method)
                 rows.append({"dataset": name, "lg_pct": lg_pct, **r})
             rows.append({"dataset": name, "lg_pct": lg_pct, **gdc_row})
     return rows
@@ -76,7 +93,7 @@ def sweep_t11_clustering_lg(spark: SparkSession, *, quick: bool = False,
 
 # --------------------------------------------------------------- Fig 12
 
-def sweep_t12_detection_or(spark: SparkSession, *, quick: bool = False,
+def sweep_t12_detection_or(*, quick: bool = False,
                            datasets=None) -> list[dict]:
     """Pattern detection vs Or — B (DNFs at scale) vs F vs V, plus the
     average cluster size curve."""
@@ -85,16 +102,17 @@ def sweep_t12_detection_or(spark: SparkSession, *, quick: bool = False,
         for or_ratio in _trim(OR_SWEEP, quick):
             cfg, pdf = ex.make_dataset(name, or_ratio=or_ratio)
             params = ex.params_for(cfg)
+            size = ex.avg_cluster_size(cluster_local(pdf, params))
             for method in ("ba", "fba", "vba"):
-                r = ex.run_detection(spark, pdf, cfg, params, method)
+                r = ex.run_detection(pdf, params, method)
                 rows.append({"dataset": name, "or_pct": int(or_ratio * 100),
-                             **r})
+                             **r, "avg_cluster_size": size})
     return rows
 
 
 # --------------------------------------------------------------- Fig 13
 
-def sweep_t13_detection_eps(spark: SparkSession, *, quick: bool = False,
+def sweep_t13_detection_eps(*, quick: bool = False,
                             datasets=None) -> list[dict]:
     """Pattern detection vs ϵ — F vs V, plus average cluster size."""
     rows = []
@@ -102,9 +120,11 @@ def sweep_t13_detection_eps(spark: SparkSession, *, quick: bool = False,
         cfg, pdf = ex.make_dataset(name)
         for eps_pct in _trim(EPS_SWEEP, quick):
             params = ex.params_for(cfg, eps_pct=eps_pct)
+            size = ex.avg_cluster_size(cluster_local(pdf, params))
             for method in ("fba", "vba"):
-                r = ex.run_detection(spark, pdf, cfg, params, method)
-                rows.append({"dataset": name, "eps_pct": eps_pct, **r})
+                r = ex.run_detection(pdf, params, method)
+                rows.append({"dataset": name, "eps_pct": eps_pct, **r,
+                             "avg_cluster_size": size})
     return rows
 
 
@@ -145,9 +165,11 @@ def sweep_t14_scalability(spark: SparkSession, *, quick: bool = False,
 def sweep_t15_enumeration(*, quick: bool = False, dataset: str | None = None
                           ) -> list[dict]:
     """Enumeration phase vs M, K, L, G — FBA vs VBA (clustering omitted,
-    as in the paper; runs without Spark)."""
+    as in the paper; runs without Spark). The data is clustered once:
+    ϵ and minPts are the same in every cell."""
     name = dataset or ENUM_DATASET
     cfg, pdf = ex.make_dataset(name)
+    clusters = cluster_local(pdf, ex.params_for(cfg))
     rows = []
     axes = {
         "M": ("m", M_SWEEP), "K": ("k", K_SWEEP),
@@ -157,7 +179,7 @@ def sweep_t15_enumeration(*, quick: bool = False, dataset: str | None = None
         for v in _trim(sweep, quick):
             params = ex.params_for(cfg, **{field: v})
             for method in ("fba", "vba"):
-                r = ex.run_enumeration(pdf, params, method)
+                r = ex.run_enumeration(clusters, params, method)
                 rows.append({"dataset": name, "axis": axis, "value": v, **r})
     return rows
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro import experiments as ex
 from repro import tables
+from repro.cluster import cluster_local
 
 
 def test_avg_cluster_size():
@@ -32,8 +33,9 @@ def test_params_for_percentages():
 def test_run_enumeration_metrics_and_shape():
     cfg, pdf = ex.make_dataset("geolife", n_snapshots=30)
     params = ex.params_for(cfg)
-    f = ex.run_enumeration(pdf, params, "fba")
-    v = ex.run_enumeration(pdf, params, "vba")
+    clusters = cluster_local(pdf, params)
+    f = ex.run_enumeration(clusters, params, "fba")
+    v = ex.run_enumeration(clusters, params, "vba")
     assert not f["dnf"] and not v["dnf"]
     assert f["n_patterns"] == v["n_patterns"]       # same pattern set size
     assert f["latency_ms"] > 0 and v["throughput_tps"] > 0
@@ -45,15 +47,18 @@ def test_run_enumeration_metrics_and_shape():
 def test_run_enumeration_ba_dnf():
     cfg, pdf = ex.make_dataset("taxi")
     params = ex.params_for(cfg)
-    r = ex.run_enumeration(pdf, params, "ba")
+    r = ex.run_enumeration(cluster_local(pdf, params), params, "ba")
     assert r["dnf"] and math.isnan(r["latency_ms"])
 
 
 def test_format_table_renders_dnf():
     rows = [{"m": "ba", "latency_ms": float("nan")},
-            {"m": "fba", "latency_ms": 3.25}]
+            {"m": "fba", "latency_ms": 3.25},
+            {"m": "vba", "latency_ms": 2.5, "latency_ms_min": 2.0,
+             "latency_ms_max": 4.125}]
     out = ex.format_table("T", rows, ["m", "latency_ms"])
     assert "DNF" in out and "3.25" in out and out.startswith("T")
+    assert "2.50 [2.00–4.12]" in out
 
 
 def test_save_results_roundtrip(tmp_path, monkeypatch):
@@ -71,8 +76,17 @@ def test_table2_rows():
     assert taxi["n_locations"] > taxi["n_trajectories"]
 
 
-def test_sweep_t15_quick_shapes():
+def test_sweep_t15_quick_shapes(monkeypatch):
+    calls = []
+
+    def counting(pdf, params):
+        calls.append(params)
+        return cluster_local(pdf, params)
+
+    monkeypatch.setattr(tables, "cluster_local", counting)
     rows = tables.sweep_t15_enumeration(quick=True)
+    # ϵ and minPts are the same in every cell: the data is clustered once.
+    assert len(calls) == 1
     # 4 axes x 2 endpoint values x 2 methods.
     assert len(rows) == 16
     axes = {r["axis"] for r in rows}
@@ -81,13 +95,38 @@ def test_sweep_t15_quick_shapes():
         assert r["method"] in ("fba", "vba") and not r["dnf"]
 
 
-def test_detection_run_smoke(spark):
+def test_detection_run_smoke(monkeypatch):
+    # T12/T13 start no JVM: detection streams through the in-process
+    # detector and never warms a Spark session.
+    def no_spark(spark):
+        raise AssertionError("run_detection warmed Spark")
+
+    monkeypatch.setattr(ex, "warm_up", no_spark)
     cfg, pdf = ex.make_dataset("geolife", n_snapshots=24)
     params = ex.params_for(cfg)
-    r = ex.run_detection(spark, pdf, cfg, params, "vba", n_batches=3)
+    r = ex.run_detection(pdf, params, "vba")
     assert r["throughput_tps"] > 0
-    assert r["avg_cluster_size"] > 0
+    assert r["cluster_ms"] > 0 and r["enum_ms"] > 0
+    assert ex.avg_cluster_size(cluster_local(pdf, params)) > 0
     assert not r["dnf"]
+
+
+def test_every_run_row_has_median_within_range(spark):
+    cfg, pdf = ex.make_dataset("geolife", n_snapshots=8)
+    params = ex.params_for(cfg)
+    rows = [
+        ex.run_clustering(spark, pdf, params, "rjc"),
+        ex.run_detection(pdf, params, "fba"),
+        ex.run_detection_batch(spark, pdf, params, "vba",
+                               shuffle_partitions=2),
+        ex.run_enumeration(cluster_local(pdf, params), params, "fba"),
+    ]
+    for r in rows:
+        lo, mid, hi = (r[k] for k in
+                       ("latency_ms_min", "latency_ms", "latency_ms_max"))
+        assert 0 < lo <= mid <= hi
+        assert r["throughput_tps"] == pytest.approx(
+            1000.0 / r["latency_ms"])
 
 
 def test_detection_batch_throttle_smoke(spark):
@@ -117,6 +156,6 @@ def test_detection_batch_throttle_sets_and_restores_confs(spark,
     monkeypatch.setattr(ex, "detect", fake_detect)
     cfg, pdf = ex.make_dataset("geolife", n_snapshots=4)
     ex.run_detection_batch(spark, pdf, ex.params_for(cfg), "fba",
-                           shuffle_partitions=3, repeats=1)
-    assert seen == [{keys[0]: "3", keys[1]: "false"}]
+                           shuffle_partitions=3)
+    assert seen == [{keys[0]: "3", keys[1]: "false"}] * ex.RUNS
     assert {k: spark.conf.get(k) for k in keys} == before

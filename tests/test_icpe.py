@@ -160,7 +160,7 @@ def test_detect_ba_explosion_raises_typed_error(spark):
                             expected_oids=recs["oid"].unique())
     with pytest.raises(BAExplodedError):
         feed_batches(det, recs, n_batches=2)
-    r = run_detection(spark, pdf, cfg, PARAMS, "ba", cluster_stats=False)
+    r = run_detection(pdf, PARAMS, "ba")
     assert r["dnf"] and r["n_patterns"] == 0
 
 
