@@ -4,9 +4,11 @@ Pipeline (Fig 5): GridAllocate (grid.py, pure Catalyst) → GridQuery
 (``per_cell``: the GridObjects hashed by cell into buckets, one Python
 call per bucket that runs a sorted-x window over each cell's data
 objects, forward-only among data objects for Lemma 2, upper-half
-probes for query objects) → GridSync (symmetrize, one Catalyst
-projection). Each unordered pair is emitted exactly once by GridQuery —
-RJC needs no dedup shuffle, which is precisely its edge over SRJ.
+probes for query objects). Each unordered pair is emitted exactly once
+by GridQuery — RJC needs no dedup shuffle, which is precisely its edge
+over SRJ — so DBSCAN takes GridQuery's pairs as they are. GridSync
+(symmetrize, one Catalyst projection) only builds the neighbor stream
+``cluster.neighbor_stream``.
 
 Distances are L1 (Sec 3.3): the inclusive square ``[x±ϵ]×[y±ϵ]`` is
 the candidate region, the exact |dx|+|dy| ≤ ϵ check happens at
@@ -113,25 +115,36 @@ def _grid_query_cell(pdf: pd.DataFrame, eps: float) -> pd.DataFrame:
     return pd.DataFrame({"t": t[a], "a": oid[a], "b": oid[b]}, dtype="int64")
 
 
+def per_bucket(df: DataFrame, keys: list[str], fn, schema: str
+               ) -> DataFrame:
+    """Hash ``df`` by ``keys`` into buckets; ``fn(bucket) → frame`` once
+    per bucket.
+
+    There are at most ``spark.sql.shuffle.partitions`` buckets,
+    coalesced by AQE, and each is one Python call over all of its rows:
+    a keyed subtask per key, as in Flink, without Spark's per-group
+    Arrow round-trip. An empty bucket yields no frame.
+    """
+    def run(batches):
+        pdfs = [pdf for pdf in batches if len(pdf)]
+        if pdfs:
+            yield fn(pd.concat(pdfs, ignore_index=True))
+
+    return df.repartition(*keys).mapInPandas(run, schema=schema)
+
+
 def per_cell(gobj: DataFrame, kernel) -> DataFrame:
     """Run ``kernel(cell) → (t, a, b)`` on every grid cell of ``gobj``.
 
-    The GridObjects are hashed by cell ``(kx, ky)`` into buckets (at
-    most ``spark.sql.shuffle.partitions``, coalesced by AQE), and each
-    bucket is one Python call that splits its rows by cell with a pandas
-    ``groupby``: a keyed subtask per cell, as in Flink, without Spark's
-    per-group Arrow round-trip. An empty bucket yields no frame.
+    ``per_bucket`` keyed by cell ``(kx, ky)``; the bucket's rows are
+    split by cell with a pandas ``groupby``.
     """
-    def fn(batches):
-        pdfs = [pdf for pdf in batches if len(pdf)]
-        if not pdfs:
-            return
-        bucket = pd.concat(pdfs, ignore_index=True)
-        yield pd.concat([kernel(cell) for _, cell in
-                         bucket.groupby(["kx", "ky"], sort=False)],
-                        ignore_index=True)
-
-    return gobj.repartition("kx", "ky").mapInPandas(fn, schema=PAIRS_SCHEMA)
+    return per_bucket(
+        gobj, ["kx", "ky"],
+        lambda bucket: pd.concat([kernel(cell) for _, cell in
+                                  bucket.groupby(["kx", "ky"], sort=False)],
+                                 ignore_index=True),
+        PAIRS_SCHEMA)
 
 
 def rjc_pairs(snapshots: DataFrame, *, eps: float, lg: float) -> DataFrame:

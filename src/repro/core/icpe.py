@@ -5,9 +5,10 @@ indexed clustering (RJC/SRJ/GDC + DBSCAN) → id-based partitioning →
 pattern enumeration (BA/FBA/VBA, one subtask per anchor bucket). The
 three phases are one lazy plan, collected once, and no other job runs:
 the clusters frame feeds only the partitioning, so nothing is cached
-and every clustering stage (GridAllocate, GridQuery, GridSync, DBSCAN)
-runs once; each enumeration subtask ends its stream as online (VBA by
-G+1 silent snapshots), so no job measures the stream's end first. The
+and every clustering stage (GridAllocate, GridQuery, then DBSCAN over
+GridQuery's pairs, one Python call per bucket of snapshots) runs once;
+each enumeration subtask ends its stream as online (VBA by G+1 silent
+snapshots), so no job measures the stream's end first. The
 per-snapshot incremental path used for latency measurements and true
 streaming lives in ``repro.stream.pipeline``; both paths share all
 phase implementations.

@@ -111,6 +111,8 @@ class EnumerationEngine:
             else:
                 pats = {}
                 for O, bits in fba_window(by_t, t0, self.params).items():
+                    if O | {anchor} in self.patterns:
+                        continue  # ``_report`` keeps the first witness
                     seqs = bs.maximal_sequences(
                         bits, self.params.k, self.params.l, self.params.g
                     )

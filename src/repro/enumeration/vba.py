@@ -141,7 +141,7 @@ def vba_step(state: VBAState, t: int, members: frozenset[int],
             state.h[oid] = (t, 1)
 
     out = _enumerate_closed(state, closed, params)
-    if state.h:
+    if state.h and state.c:
         # Every future closure starts at or after the earliest open st,
         # so a candidate ending before min_open + K − 1 can never
         # overlap one by K snapshots (Lemma 8): drop it.

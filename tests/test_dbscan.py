@@ -1,6 +1,9 @@
-"""DBSCAN correctness: Spark pipeline vs brute-force reference, plus
+"""DBSCAN correctness: the array kernel vs the union-find oracle, the
+Spark stage and the in-process path vs the brute-force reference, plus
 oracle checks for the SQL-expressible pieces (core points)."""
 import re
+import time
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -8,7 +11,8 @@ import pytest
 
 from repro import trajgen
 from repro.cluster import cluster_local, cluster_stream
-from repro.cluster.dbscan import cluster_snapshot
+from repro.cluster.dbscan import cluster_snapshot, dbscan_arrays
+from repro.core import icpe
 from repro.core.reference import brute_clusters, brute_pairs
 from repro.oracle import assert_equivalent
 from repro.params import CPParams
@@ -35,14 +39,35 @@ def _ref_as_sets(ref):
     return out
 
 
-# ------------------------------------------------------ pure-python core
+# ------------------------------------------------ oracle and array kernel
+#
+# Every hand case runs through both implementations: the oracle
+# ``cluster_snapshot`` (both orientations of every pair, all points) and
+# the kernel ``dbscan_arrays`` (each pair once, no points side).
+
+def _kernel_labels(t, a, b, min_pts):
+    """``dbscan_arrays`` output as {t: {oid: cid}}."""
+    out = {}
+    for s, cid, oid in zip(*(x.tolist() for x in dbscan_arrays(t, a, b,
+                                                               min_pts))):
+        out.setdefault(s, {})[oid] = cid
+    return out
+
+
+def _dbscan(oids, pairs, min_pts):
+    """One snapshot's labels; asserts the oracle and the kernel agree."""
+    sym = pairs + [(b, a) for a, b in pairs]
+    want = cluster_snapshot(oids, sym, min_pts)
+    a, b = zip(*pairs) if pairs else ((), ())
+    assert _kernel_labels([1] * len(pairs), a, b, min_pts).get(1, {}) == want
+    return want
+
 
 def test_cluster_snapshot_two_blobs():
     # Two triangles far apart; minPts=3 makes each a cluster.
     oids = [1, 2, 3, 11, 12, 13]
     pairs = [(1, 2), (2, 3), (1, 3), (11, 12), (12, 13), (11, 13)]
-    sym = pairs + [(b, a) for a, b in pairs]
-    got = cluster_snapshot(oids, sym, min_pts=3)
+    got = _dbscan(oids, pairs, min_pts=3)
     assert got == {1: 1, 2: 1, 3: 1, 11: 11, 12: 11, 13: 11}
 
 
@@ -51,36 +76,47 @@ def test_cluster_snapshot_border_point():
     # core (2: {1,2,3}, 3: {2,3,4}); 1 and 4 are borders.
     oids = [1, 2, 3, 4]
     pairs = [(1, 2), (2, 3), (3, 4)]
-    sym = pairs + [(b, a) for a, b in pairs]
-    got = cluster_snapshot(oids, sym, min_pts=3)
+    got = _dbscan(oids, pairs, min_pts=3)
     assert got == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_cluster_snapshot_noise_dropped():
-    got = cluster_snapshot([1, 2, 9], [(1, 2), (2, 1)], min_pts=3)
+    got = _dbscan([1, 2, 9], [(1, 2)], min_pts=3)
     assert got == {}  # nobody reaches minPts=3
 
 
 def test_cluster_snapshot_minpts_counts_self():
     # Pair at distance <= eps: neighborhood size 2 each -> core at
     # minPts=2 (self counts), not at minPts=3.
-    sym = [(1, 2), (2, 1)]
-    assert cluster_snapshot([1, 2], sym, 2) == {1: 1, 2: 1}
-    assert cluster_snapshot([1, 2], sym, 3) == {}
+    assert _dbscan([1, 2], [(1, 2)], 2) == {1: 1, 2: 1}
+    assert _dbscan([1, 2], [], 2) == {}
+    assert _dbscan([1, 2], [(1, 2)], 3) == {}
 
 
 def test_cluster_snapshot_minpts_one_singletons():
+    # The oracle makes every point its own core/cluster. The kernel sees
+    # only pairs, so it never emits a point without a neighbor.
     got = cluster_snapshot([5, 6], [], min_pts=1)
-    assert got == {5: 5, 6: 6}  # every point is its own core/cluster
+    assert got == {5: 5, 6: 6}
+    assert _kernel_labels([], [], [], 1) == {}
+    assert _kernel_labels([1], [5], [7], 1) == {1: {5: 5, 7: 5}}
 
 
 def test_border_tiebreak_smallest_core_neighbor():
     # Border 5 touches cores of two different clusters (2 and 11):
     # deterministic rule -> joins cluster of core 2.
     pairs = [(1, 2), (2, 3), (1, 3), (11, 12), (12, 13), (11, 13), (5, 2), (5, 11)]
-    sym = pairs + [(b, a) for a, b in pairs]
-    got = cluster_snapshot([1, 2, 3, 5, 11, 12, 13], sym, min_pts=3)
+    got = _dbscan([1, 2, 3, 5, 11, 12, 13], pairs, min_pts=3)
     assert got[5] == got[2] == 1
+
+
+def test_core_whose_borders_all_join_other_clusters():
+    # minPts=4: core 9's three neighbors are borders, and each has a
+    # smaller core neighbor (1 or 5), so 9 is a cluster of one.
+    pairs = ([(1, 2), (1, 3), (1, 4), (5, 6), (5, 7), (5, 8)]
+             + [(9, 2), (9, 3), (9, 6)])
+    got = _dbscan(list(range(1, 10)), pairs, min_pts=4)
+    assert got == {1: 1, 2: 1, 3: 1, 4: 1, 5: 5, 6: 5, 7: 5, 8: 5, 9: 9}
 
 
 def test_density_reachability_chain():
@@ -89,10 +125,63 @@ def test_density_reachability_chain():
     # o3..o7 pairwise-chained cores, o2/o8 reachable endpoints.
     pairs = [(3, 4), (4, 5), (5, 6), (6, 7), (3, 5), (4, 6), (5, 7),
              (2, 3), (7, 8)]
-    sym = pairs + [(b, a) for a, b in pairs]
-    got = cluster_snapshot([2, 3, 4, 5, 6, 7, 8], sym, min_pts=3)
+    got = _dbscan([2, 3, 4, 5, 6, 7, 8], pairs, min_pts=3)
     assert set(got) == {2, 3, 4, 5, 6, 7, 8}
     assert len(set(got.values())) == 1  # one cluster {o2..o8}
+
+
+def _random_snapshots(rng, n_snapshots, base):
+    """Snapshots of random points on a coarse lattice (coincident points,
+    chains, border ties) or of random graphs, with oids from ``base``.
+    Returns ({t: (oids, pairs)}, one-orientation arrays t, a, b)."""
+    snaps, rows = {}, []
+    for t in rng.choice(1000, n_snapshots, replace=False).tolist():
+        n = int(rng.integers(0, 40))
+        oids = (base + rng.choice(10 * n + 1, n, replace=False)).tolist()
+        if rng.random() < 0.5:
+            xy = rng.integers(0, 6, (n, 2))
+            pairs = [(oids[i], oids[j]) for i in range(n)
+                     for j in range(i + 1, n)
+                     if np.abs(xy[i] - xy[j]).sum() <= 1]
+        else:
+            p = rng.uniform(0.02, 0.3)
+            pairs = [(oids[i], oids[j]) for i in range(n)
+                     for j in range(i + 1, n) if rng.random() < p]
+        snaps[t] = (oids, pairs)
+        rows += [(t, b, a) if rng.random() < 0.5 else (t, a, b)
+                 for a, b in pairs]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    t, a, b = (np.array(c, dtype=np.int64).reshape(-1)
+               for c in (zip(*rows) if rows else ((), (), ())))
+    return snaps, t, a, b
+
+
+@pytest.mark.parametrize("base", [0, 2**32 + 7, 2**62])
+def test_kernel_matches_oracle_on_random_graphs(base):
+    # Several snapshots per call, shuffled pair order and orientation.
+    rng = np.random.default_rng(base % 1000 + 5)
+    for _ in range(60):
+        snaps, t, a, b = _random_snapshots(rng, int(rng.integers(1, 5)), base)
+        for min_pts in range(2, 7):
+            got = _kernel_labels(t, a, b, min_pts)
+            want = {s: cluster_snapshot(oids, pairs + [(y, x) for x, y in
+                                                       pairs], min_pts)
+                    for s, (oids, pairs) in snaps.items()}
+            assert got == {s: lab for s, lab in want.items() if lab}
+
+
+def test_kernel_long_chain_descending_ids():
+    # A path of 20,000 points whose ids fall along it: one component,
+    # found by pointer jumping in a few rounds, not one per link.
+    n = 20_000
+    oids = np.arange(n, 0, -1, dtype=np.int64) + 2**40
+    start = time.perf_counter()
+    t, cid, oid = dbscan_arrays(np.zeros(n - 1, dtype=np.int64), oids[:-1],
+                                oids[1:], 3)
+    elapsed = time.perf_counter() - start
+    assert sorted(oid.tolist()) == sorted(oids.tolist())
+    assert set(cid.tolist()) == {2**40 + 1} and set(t.tolist()) == {0}
+    assert elapsed < 2.0
 
 
 # ------------------------------------------------------------ Spark stage
@@ -107,6 +196,31 @@ def test_cluster_stream_matches_reference(spark, method):
     )
     ref = _ref_as_sets(brute_clusters(pdf, params.eps, params.min_pts))
     assert got == ref
+
+
+def _without_singletons(clusters):
+    out = {}
+    for t, labels in clusters.items():
+        sizes = Counter(labels.values())
+        out[t] = {o: c for o, c in labels.items() if sizes[c] > 1}
+    return out
+
+
+@pytest.mark.parametrize("method", ["rjc", "srj", "gdc"])
+def test_minpts_one_is_reference_without_singletons(spark, method):
+    # At minPts = 1 every point is core, and classic DBSCAN makes each
+    # point without a neighbor a cluster of one. Pairs alone cannot show
+    # such a point, so both paths emit the reference minus those.
+    pdf = trajgen.generate(TrajConfig(n_objects=90, n_snapshots=4, seed=13))
+    params = CPParams(eps=6.0, lg=50.0, min_pts=1)
+    ref = brute_clusters(pdf, params.eps, params.min_pts)
+    want = _without_singletons(ref)
+    assert want != ref  # the input has isolated points
+    if method == "rjc":
+        assert cluster_local(pdf, params) == want
+    got = _clusters_as_sets(
+        cluster_stream(trajgen.to_spark(spark, pdf), params, method).collect())
+    assert got == _ref_as_sets(want)
 
 
 def test_cluster_stream_dense_groups(spark):
@@ -127,27 +241,60 @@ def test_cluster_stream_dense_groups(spark):
     )
 
 
-def _executed_nodes(df):
-    """Operator names of ``df``'s executed physical plan (after AQE)."""
+def _executed_plan(df) -> str:
+    """``df``'s executed physical plan (after AQE), one node a line."""
     plan = df._jdf.queryExecution().executedPlan()
     if plan.getClass().getSimpleName() == "AdaptiveSparkPlanExec":
         plan = plan.executedPlan()
+    return plan.toString()
+
+
+def _executed_nodes(df):
+    """Operator names of ``df``'s executed physical plan (after AQE)."""
     return [re.match(r"[\s:+|-]*(?:\*\(\d+\) )?(\w+)", line).group(1)
-            for line in plan.toString().splitlines() if line.strip()]
+            for line in _executed_plan(df).splitlines() if line.strip()]
 
 
 def test_cluster_stream_runs_gridquery_once(spark):
-    # GridSync symmetrizes in one projection, so the GridQuery kernel is
-    # one Python node of the plan (one call per cell bucket), not one per
-    # orientation of the pairs.
+    # DBSCAN takes GridQuery's one-orientation pairs as they are: the plan
+    # is two Python nodes, GridQuery (one call per cell bucket) and
+    # DBSCAN (one call per snapshot bucket), with no points side, no
+    # GridSync and no cogroup.
     pdf = trajgen.generate(TrajConfig(n_objects=90, n_snapshots=4, seed=13))
     df = cluster_stream(trajgen.to_spark(spark, pdf),
                         CPParams(eps=10.0, lg=50.0, min_pts=4))
     df.collect()
     nodes = _executed_nodes(df)
-    assert nodes.count("MapInPandas") == 1
+    assert nodes.count("MapInPandas") == 2
     assert "FlatMapGroupsInPandas" not in nodes
-    assert nodes.count("FlatMapCoGroupsInPandas") == 1  # DBSCAN
+    assert "FlatMapCoGroupsInPandas" not in nodes
+
+
+def test_detect_dbscan_is_one_stage_keyed_by_t(spark, monkeypatch):
+    # In detect's plan, DBSCAN is one MapInPandas (output t, cid, oid) fed
+    # by a hash exchange on t alone, and nothing is cogrouped.
+    seen, real = [], icpe.collect_patterns
+
+    def collect_patterns(df):
+        seen.append(df)
+        return real(df)
+
+    monkeypatch.setattr(icpe, "collect_patterns", collect_patterns)
+    pdf = trajgen.generate(TrajConfig(n_objects=36, n_snapshots=8,
+                                      n_groups=6, cohesion=2.5, seed=3))
+    icpe.detect(trajgen.to_spark(spark, pdf),
+                CPParams(m=3, k=4, l=2, g=2, eps=9.0, min_pts=3, lg=45.0))
+    lines = _executed_plan(seen[0]).splitlines()
+    assert not any("CoGroup" in line for line in lines)
+    stages = [i for i, line in enumerate(lines)
+              if re.search(r"MapInPandas .*\[t#\d+L, cid#\d+L, oid#\d+L\]",
+                           line)]
+    assert len(stages) == 1
+    below = lines[stages[0] + 1:]
+    exchange = next(line for line in below if "Exchange" in line)
+    assert re.search(r"Exchange hashpartitioning\(t#\d+L, \d+\)", exchange)
+    assert all(re.search(r"AQEShuffleRead|ShuffleQueryStage", line)
+               for line in below[:below.index(exchange)])
 
 
 def test_core_points_match_oracle(spark):

@@ -48,6 +48,29 @@ def test_detect_matches_reference(spark, enum_method):
         assert res.patterns == engine.patterns
 
 
+@pytest.mark.parametrize("enum_method", ["fba", "vba"])
+def test_minpts_one_matches_reference(spark, enum_method):
+    # At minPts = 1 clustering omits the 1-member clusters of points
+    # without a neighbor (repro.cluster.dbscan); Lemma 3 drops them for
+    # every M ≥ 2, so batch and streaming detection still equal the
+    # reference miner over classic DBSCAN, witnesses included.
+    params = PARAMS.with_(m=2, min_pts=1, eps=6.0)
+    pdf = _small_stream(seed=3)
+    ref = _reference(pdf, params)
+    assert ref
+    res = detect(trajgen.to_spark(spark, pdf), params,
+                 enum_method=enum_method)
+    recs = trajgen.with_last_time(pdf)
+    det = StreamingDetector(None, params, enum_method=enum_method,
+                            expected_oids=recs["oid"].unique())
+    feed_batches(det, recs, n_batches=4)
+    assert set(res.patterns) == set(det.patterns) == set(ref)
+    engine = run_engine(
+        id_partitions_py(brute_clusters(pdf, params.eps, params.min_pts),
+                         params.m), params, enum_method)
+    assert res.patterns == engine.patterns
+
+
 @pytest.mark.parametrize("cluster_method", ["rjc", "srj", "gdc"])
 def test_detect_cluster_methods_agree(spark, cluster_method):
     pdf = _small_stream(seed=5)
